@@ -64,6 +64,7 @@ from repro.server.workers import SolverWorkerPool
 from repro.service.cache import CompileCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.policy import RetryPolicy
+from repro.service.spec import SolveSpec
 from repro.smt.parser import ParseError, parse_script
 from repro.smt.session import SessionError, SolverSession
 from repro.smt.sexpr import SExprError
@@ -152,14 +153,7 @@ class ServerConfig:
             raise ValueError(
                 f"backend must be 'thread' or 'process', got {self.backend!r}"
             )
-        if self.strategy not in ("direct", "refine"):
-            raise ValueError(
-                f"strategy must be 'direct' or 'refine', got {self.strategy!r}"
-            )
-        if self.refine_max_rounds < 0:
-            raise ValueError(
-                f"refine_max_rounds must be >= 0, got {self.refine_max_rounds}"
-            )
+        self.solve_spec()  # validates the solver fields
         if self.batch_window_ms > 0 and self.strategy != "direct":
             raise ValueError(
                 "micro-batching (batch_window_ms > 0) requires "
@@ -203,14 +197,25 @@ class ServerConfig:
             raise ValueError(
                 f"max_sessions must be >= 1, got {self.max_sessions}"
             )
-        if self.opt_max_restarts < 1:
-            raise ValueError(
-                f"opt_max_restarts must be >= 1, got {self.opt_max_restarts}"
-            )
-        if self.opt_exhaustive_bits < 0:
-            raise ValueError(
-                f"opt_exhaustive_bits must be >= 0, got {self.opt_exhaustive_bits}"
-            )
+
+    def solve_spec(self) -> SolveSpec:
+        """The one solver configuration both backends and sessions use."""
+        return SolveSpec(
+            num_reads=self.num_reads,
+            seed=self.seed,
+            sampler_params=self.sampler_params,
+            sampler_factory=self.sampler_factory,
+            penalty_strength=self.penalty_strength,
+            policy=(
+                self.policy
+                if self.policy is not None
+                else RetryPolicy(max_attempts=self.max_attempts)
+            ),
+            strategy=self.strategy,
+            refine_max_rounds=self.refine_max_rounds,
+            opt_max_restarts=self.opt_max_restarts,
+            opt_exhaustive_bits=self.opt_exhaustive_bits,
+        )
 
 
 class SolverServer:
@@ -234,47 +239,29 @@ class SolverServer:
             workers=self.config.workers,
             metrics=self.metrics,
         )
-        policy = (
-            self.config.policy
-            if self.config.policy is not None
-            else RetryPolicy(max_attempts=self.config.max_attempts)
-        )
+        #: The solver fields of the spec, as the keyword arguments both
+        #: backends and every session are built from. Backends take the
+        #: opt deadline from each request's remaining budget instead.
+        self._solver_kwargs = self.config.solve_spec().kwargs()
+        del self._solver_kwargs["opt_deadline_ms"]
         if self.config.backend == "process":
             from repro.server.procpool import ProcessSolverBackend
 
             self.pool = ProcessSolverBackend(
                 workers=self.config.workers,
-                num_reads=self.config.num_reads,
-                seed=self.config.seed,
-                sampler_params=self.config.sampler_params,
-                sampler_factory=self.config.sampler_factory,
-                penalty_strength=self.config.penalty_strength,
-                policy=policy,
                 cache_size=self.config.cache_size,
                 metrics=self.metrics,
                 mp_context=self.config.mp_context,
-                strategy=self.config.strategy,
-                refine_max_rounds=self.config.refine_max_rounds,
-                opt_max_restarts=self.config.opt_max_restarts,
-                opt_exhaustive_bits=self.config.opt_exhaustive_bits,
+                **self._solver_kwargs,
             )
         else:
             self.pool = SolverWorkerPool(
                 workers=self.config.workers,
-                num_reads=self.config.num_reads,
-                seed=self.config.seed,
-                sampler_params=self.config.sampler_params,
-                sampler_factory=self.config.sampler_factory,
-                penalty_strength=self.config.penalty_strength,
-                policy=policy,
                 cache=self.cache,
                 metrics=self.metrics,
                 batch_window_ms=self.config.batch_window_ms,
                 batch_max=self.config.batch_max,
-                strategy=self.config.strategy,
-                refine_max_rounds=self.config.refine_max_rounds,
-                opt_max_restarts=self.config.opt_max_restarts,
-                opt_exhaustive_bits=self.config.opt_exhaustive_bits,
+                **self._solver_kwargs,
             )
         # Sticky sessions always solve on the event-loop process (thread
         # executor) against the shared compile cache, whatever the /solve
@@ -295,19 +282,13 @@ class SolverServer:
         self._started_at = 0.0
 
     def _new_session(self) -> SolverSession:
+        kwargs = dict(self._solver_kwargs)
         return SolverSession(
-            num_reads=self.config.num_reads,
-            seed=self.config.seed,
-            sampler_params=self.config.sampler_params,
-            sampler_factory=self.config.sampler_factory,
-            max_attempts=self.config.max_attempts,
-            penalty_strength=self.config.penalty_strength,
-            retry_policy=self.config.policy,
+            retry_policy=kwargs.pop("policy"),
             cache=self.cache,
             warm_start=self.config.session_warm_start,
             metrics=self.metrics,
-            strategy=self.config.strategy,
-            refine_max_rounds=self.config.refine_max_rounds,
+            **kwargs,
         )
 
     # ------------------------------------------------------------------ #

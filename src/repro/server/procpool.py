@@ -11,10 +11,12 @@ work, so on a multi-core host this turns the serving layer's ceiling from
 
 Transport
 ---------
-Jobs cross the process boundary over :func:`multiprocessing.Pipe` as
-plain pickles: the assertion AST (frozen dataclasses), the
-deadline-clamped :class:`~repro.service.policy.RetryPolicy` and the solve
-params. Replies carry the full :class:`~repro.smt.solver.SmtResult`
+The solver configuration crosses once, as the pickled
+:class:`~repro.service.spec.SolveSpec` each worker is spawned with. Jobs
+cross the process boundary over :func:`multiprocessing.Pipe` as plain
+pickles: the assertion AST (frozen dataclasses), the solve params and the
+remaining deadline budget the worker clamps the retry policy to. Replies
+carry the full :class:`~repro.smt.solver.SmtResult`
 (CSR-backed sample sets pickle O(nnz), the PR 2 payload discipline), so a
 process-backend answer is **byte-identical** to the thread backend and to
 a direct ``check_sat`` at the same seed — the cross-backend bit-identity
@@ -57,12 +59,11 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.server.admission import DeadlineExceededError
-from repro.server.workers import SolveOutcome, clamp_policy
 from repro.service.cache import CacheStats, CompileCache
 from repro.service.metrics import MetricsRegistry
-from repro.service.policy import RetryExhaustedError, RetryPolicy
+from repro.service.policy import RetryPolicy
+from repro.service.spec import SolveOutcome, SolveSpec, execute
 from repro.smt import ast
-from repro.utils.timing import Timer
 
 __all__ = ["ProcessSolverBackend", "WorkerCrashError"]
 
@@ -83,18 +84,17 @@ class WorkerCrashError(RuntimeError):
 # --------------------------------------------------------------------- #
 
 
-def _worker_main(conn, settings: Dict[str, Any]) -> None:
+def _worker_main(conn, spec: SolveSpec, cache_size: int) -> None:
     """Entry point of one long-lived solver process.
 
-    Loops ``recv → solve → send`` until it receives ``None``. Owns a fresh
-    solver per job (the determinism recipe shared with the thread backend
-    and BatchSolver) plus one local CompileCache. All failure modes are
-    folded into the reply; an exception escaping this loop kills the
-    process, which the parent detects as a crash.
+    Loops ``recv → execute → send`` until it receives ``None``: each job is
+    one :func:`~repro.service.spec.execute` call (a fresh solver per job,
+    the determinism recipe shared with the thread backend and BatchSolver)
+    against one local CompileCache. Every failure is folded into the
+    reply's outcome; an exception escaping this loop kills the process,
+    which the parent detects as a crash.
     """
     import signal
-
-    from repro.smt.solver import QuantumSMTSolver, SmtResult  # heavy import in child
 
     # Workers share the foreground process group, so a terminal Ctrl-C
     # delivers SIGINT here too. Lifecycle is managed by the parent (None
@@ -102,8 +102,7 @@ def _worker_main(conn, settings: Dict[str, Any]) -> None:
     # KeyboardInterrupt would only splat tracebacks over a clean drain.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    cache = CompileCache(maxsize=settings["cache_size"])
-    sampler_factory = settings.get("sampler_factory")
+    cache = CompileCache(maxsize=cache_size)
     while True:
         try:
             job = conn.recv()
@@ -111,114 +110,21 @@ def _worker_main(conn, settings: Dict[str, Any]) -> None:
             return  # parent went away
         if job is None:
             return
-        assertions, policy, solve_params, soft_assertions, remaining = job
-        timer = Timer().start()
-        if soft_assertions:
-            outcome = _optimize_in_worker(
-                assertions, soft_assertions, remaining, solve_params,
-                settings, timer,
-            )
-            stats = cache.stats
-            try:
-                conn.send(
-                    (outcome, (stats.hits, stats.misses, stats.evictions, stats.size))
-                )
-            except (BrokenPipeError, OSError):
-                return
-            continue
-        try:
-            solver = QuantumSMTSolver(
-                sampler=sampler_factory() if sampler_factory else None,
-                num_reads=settings["num_reads"],
-                seed=settings["seed"],
-                sampler_params=settings["sampler_params"],
-                penalty_strength=settings["penalty_strength"],
-                retry_policy=policy,
-                strategy=settings.get("strategy", "direct"),
-                refine_max_rounds=settings.get("refine_max_rounds", 4),
-                compile_cache=(
-                    cache if settings.get("strategy") == "refine" else None
-                ),
-            )
-            solver.assertions = list(assertions)
-            problem, hit = cache.get_or_compile(
-                assertions,
-                penalty_strength=settings["penalty_strength"],
-                seed=settings["seed"],
-                compile_fn=solver.compile,
-            )
-            result = solver.solve_compiled(problem, **solve_params)
-            outcome = SolveOutcome(result=result, cache_hit=hit, wall_time=timer.stop())
-        except RetryExhaustedError as exc:
-            outcome = SolveOutcome(
-                result=SmtResult(status="unknown", reason=str(exc)),
-                cache_hit=False,
-                wall_time=timer.stop(),
-                error=str(exc),
-                error_type=type(exc).__name__,
-            )
-        except Exception as exc:  # noqa: BLE001 — boundary: degrade, don't crash
-            outcome = SolveOutcome(
-                result=SmtResult(
-                    status="unknown", reason=f"{type(exc).__name__}: {exc}"
-                ),
-                cache_hit=False,
-                wall_time=timer.stop(),
-                error=str(exc),
-                error_type=type(exc).__name__,
-            )
+        assertions, soft_assertions, solve_params, remaining = job
+        outcome = execute(
+            spec,
+            assertions,
+            soft_assertions,
+            cache=cache,
+            metrics=None,
+            remaining=remaining,
+            solve_params=solve_params,
+        )
         stats = cache.stats
         try:
             conn.send((outcome, (stats.hits, stats.misses, stats.evictions, stats.size)))
         except (BrokenPipeError, OSError):
             return
-
-
-def _optimize_in_worker(
-    assertions: List[ast.Term],
-    soft_assertions: List[Any],
-    remaining: Optional[float],
-    solve_params: Dict[str, Any],
-    settings: Dict[str, Any],
-    timer: Timer,
-) -> SolveOutcome:
-    """One weighted-MaxSMT job inside a worker process.
-
-    Mirrors the thread backend's ``_optimize_blocking``: the remaining
-    deadline budget becomes the driver's anytime ``deadline_ms``; the
-    parent's ``wait_for`` (and worker kill) stays authoritative.
-    """
-    from repro.opt import AnytimeOptimizer
-    from repro.server.workers import outcome_from_optimize
-    from repro.smt.solver import SmtResult
-
-    sampler_factory = settings.get("sampler_factory")
-    try:
-        optimizer = AnytimeOptimizer(
-            sampler=sampler_factory() if sampler_factory else None,
-            num_reads=settings["num_reads"],
-            seed=settings["seed"],
-            sampler_params=settings["sampler_params"],
-            penalty_strength=settings["penalty_strength"],
-            max_restarts=settings.get("opt_max_restarts", 4),
-            deadline_ms=(
-                None if remaining is None else max(remaining, 1e-3) * 1000.0
-            ),
-            exhaustive_bits=settings.get("opt_exhaustive_bits", 16),
-        )
-        result = optimizer.optimize(assertions, soft_assertions, **solve_params)
-        return outcome_from_optimize(result, wall_time=timer.stop())
-    except Exception as exc:  # noqa: BLE001 — boundary: degrade, don't crash
-        return SolveOutcome(
-            result=SmtResult(
-                status="unknown", reason=f"{type(exc).__name__}: {exc}"
-            ),
-            cache_hit=False,
-            wall_time=timer.stop(),
-            error=str(exc),
-            error_type=type(exc).__name__,
-            opt_status="unknown",
-        )
 
 
 class _WorkerHandle:
@@ -228,7 +134,6 @@ class _WorkerHandle:
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
-        self.abandoned = False
         #: Latest (hits, misses, evictions, size) snapshot of the worker's
         #: local compile cache, reported with every reply.
         self.cache_snapshot: Tuple[int, int, int, int] = (0, 0, 0, 0)
@@ -279,33 +184,29 @@ class ProcessSolverBackend:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if strategy not in ("direct", "refine"):
-            raise ValueError(
-                f"strategy must be 'direct' or 'refine', got {strategy!r}"
-            )
+        #: Pickled to every worker process at spawn time.
+        self.spec = SolveSpec(
+            num_reads=num_reads,
+            seed=seed,
+            sampler_params=sampler_params,
+            sampler_factory=sampler_factory,
+            penalty_strength=penalty_strength,
+            policy=policy,
+            strategy=strategy,
+            refine_max_rounds=refine_max_rounds,
+            opt_max_restarts=opt_max_restarts,
+            opt_exhaustive_bits=opt_exhaustive_bits,
+        )
         if seed is not None and not isinstance(seed, int):
             raise TypeError(
                 "the process backend needs a reproducible seed (int or None); "
                 f"live RNG objects cannot cross the process boundary: {type(seed)!r}"
             )
         self.workers = workers
-        self.policy = policy if policy is not None else RetryPolicy(max_attempts=3)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache_size = cache_size
         self.backoff_initial = backoff_initial
         self.backoff_max = backoff_max
-        self._settings = {
-            "num_reads": num_reads,
-            "seed": seed,
-            "sampler_params": dict(sampler_params or {}),
-            "sampler_factory": sampler_factory,
-            "penalty_strength": penalty_strength,
-            "cache_size": cache_size,
-            "strategy": strategy,
-            "refine_max_rounds": refine_max_rounds,
-            "opt_max_restarts": opt_max_restarts,
-            "opt_exhaustive_bits": opt_exhaustive_bits,
-        }
         self._ctx = multiprocessing.get_context(mp_context)
         self._ids = itertools.count()
         self._lock = threading.Lock()
@@ -336,7 +237,7 @@ class ProcessSolverBackend:
         worker_id = next(self._ids)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._settings),
+            args=(child_conn, self.spec, self.cache_size),
             name=f"repro-solver-{worker_id}",
             daemon=True,
         )
@@ -382,10 +283,6 @@ class ProcessSolverBackend:
     # solving
     # ------------------------------------------------------------------ #
 
-    def effective_policy(self, remaining: Optional[float]) -> RetryPolicy:
-        """The configured policy clamped to the remaining deadline budget."""
-        return clamp_policy(self.policy, remaining)
-
     def cache_stats(self) -> CacheStats:
         """Aggregated worker-local compile-cache statistics."""
         with self._lock:
@@ -416,7 +313,7 @@ class ProcessSolverBackend:
         :class:`WorkerCrashError` when the worker dies mid-job.
         """
         return await self._submit(
-            assertions, None, remaining=remaining, solve_params=solve_params
+            assertions, [], remaining=remaining, solve_params=solve_params
         )
 
     async def optimize(
@@ -439,7 +336,7 @@ class ProcessSolverBackend:
     async def _submit(
         self,
         assertions: Sequence[ast.Term],
-        soft_assertions: Optional[List[Any]],
+        soft_assertions: List[Any],
         *,
         remaining: Optional[float],
         solve_params: Optional[Dict[str, Any]],
@@ -447,13 +344,7 @@ class ProcessSolverBackend:
         loop = asyncio.get_running_loop()
         self._loop = loop
         handle = await self._checkout(remaining)
-        job = (
-            list(assertions),
-            self.effective_policy(remaining),
-            dict(solve_params or {}),
-            soft_assertions,
-            remaining,
-        )
+        job = (list(assertions), soft_assertions, dict(solve_params or {}), remaining)
         self.metrics.counter("server.solves").inc()
         try:
             await loop.run_in_executor(self._io, handle.conn.send, job)
@@ -480,7 +371,12 @@ class ProcessSolverBackend:
         handle.cache_snapshot = cache_snapshot
         with self._lock:
             self._consecutive_crashes = 0
-        self.metrics.counter("cache.hits" if outcome.cache_hit else "cache.misses").inc()
+        if not soft_assertions:
+            # The worker's execute() has no registry; mirror its one
+            # compile-cache lookup here (weighted jobs never consult it).
+            self.metrics.counter(
+                "cache.hits" if outcome.cache_hit else "cache.misses"
+            ).inc()
         self._free.put_nowait(handle)
         return outcome
 
@@ -503,7 +399,6 @@ class ProcessSolverBackend:
 
     def _abandon(self, handle: _WorkerHandle, reply_future) -> None:
         """Deadline/cancel path: kill the worker, swallow the orphaned recv."""
-        handle.abandoned = True
         reply_future.add_done_callback(lambda f: f.exception())
         handle.kill()
         self._respawn_later(handle, crashed=False)

@@ -1,9 +1,10 @@
 """The solver worker pool: executor-thread solves behind the asyncio server.
 
-Each admitted request is solved on a worker thread by a **fresh**
+Each admitted request is solved on a worker thread by
+:func:`repro.service.spec.execute` — a **fresh**
 :class:`~repro.smt.solver.QuantumSMTSolver` seeded with the server's base
-seed — the same construction as :class:`~repro.service.batch.BatchSolver`
-— so a served answer is bit-identical to a direct
+seed, the same path as :class:`~repro.service.batch.BatchSolver` — so a
+served answer is bit-identical to a direct
 ``QuantumSMTSolver(seed=...).check_sat()`` at the same seed, independent
 of worker count, queue order and cache state. Compilation is deduplicated
 through one shared :class:`~repro.service.cache.CompileCache`; stage
@@ -52,101 +53,25 @@ maps to a request waiting in some batch.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.server.admission import DeadlineExceededError
 from repro.service.cache import CacheStats, CompileCache
 from repro.service.metrics import MetricsRegistry
-from repro.service.policy import RetryExhaustedError, RetryPolicy
+from repro.service.policy import RetryPolicy
+from repro.service.spec import SolveOutcome, SolveSpec, execute
+from repro.service.spec import outcome_from_optimize  # noqa: F401 — re-export
 from repro.smt import ast
-from repro.smt.solver import QuantumSMTSolver, SmtResult
-from repro.utils.timing import Timer
 
-__all__ = ["SolveCancelled", "SolveOutcome", "SolverWorkerPool", "clamp_policy"]
-
-
-def clamp_policy(policy: RetryPolicy, remaining: Optional[float]) -> RetryPolicy:
-    """*policy* with its attempt timeout clamped to the remaining deadline.
-
-    Shared by both solve backends (thread pool here, process pool in
-    :mod:`repro.server.procpool`) so deadline composition semantics cannot
-    drift between them.
-    """
-    if remaining is None:
-        return policy
-    remaining = max(remaining, 1e-3)
-    timeout = policy.attempt_timeout
-    clamped = remaining if timeout is None else min(timeout, remaining)
-    return dataclasses.replace(policy, attempt_timeout=clamped)
+__all__ = ["SolveCancelled", "SolveOutcome", "SolverWorkerPool"]
 
 
 class SolveCancelled(RuntimeError):
     """Raised inside a worker thread when its request was abandoned."""
-
-
-def outcome_from_optimize(result: Any, wall_time: float = 0.0) -> SolveOutcome:
-    """Fold an :class:`~repro.opt.result.OptimizeResult` into a
-    :class:`SolveOutcome` (shared by the thread and process backends).
-
-    The MaxSMT status is projected onto the sat/unsat/unknown axis for the
-    ``SmtResult`` (feasible → sat) while the full optimization refinement
-    rides in the outcome's dedicated fields.
-    """
-    import math
-
-    from repro.opt.result import solve_status_for
-
-    upper = float(result.upper_bound)
-    return SolveOutcome(
-        result=SmtResult(
-            status=solve_status_for(result.status),
-            model=dict(result.model),
-            reason=result.reason,
-        ),
-        cache_hit=False,
-        wall_time=wall_time,
-        opt_status=str(result.status),
-        objective=result.objective,
-        lower_bound=float(result.lower_bound),
-        upper_bound=None if math.isinf(upper) else upper,
-    )
-
-
-@dataclass
-class SolveOutcome:
-    """One completed in-pool solve (or weighted optimization)."""
-
-    result: SmtResult
-    cache_hit: bool = False
-    wall_time: float = 0.0
-    error: str = ""
-    error_type: str = ""
-    #: Optimization-mode refinement (requests with ``assert-soft``):
-    #: the MaxSMT status plus the objective/bound bracket. Plain solves
-    #: keep the null defaults.
-    opt_status: str = ""
-    objective: Optional[float] = None
-    lower_bound: Optional[float] = None
-    upper_bound: Optional[float] = None
-
-    @property
-    def status(self) -> str:
-        return str(self.result.status)
-
-    @property
-    def model(self) -> Dict[str, str]:
-        return dict(self.result.model)
-
-
-@dataclass
-class _RequestContext:
-    """Thread-shared cancellation flag for one request."""
-
-    cancelled: threading.Event = field(default_factory=threading.Event)
 
 
 @dataclass
@@ -187,10 +112,18 @@ class SolverWorkerPool:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if strategy not in ("direct", "refine"):
-            raise ValueError(
-                f"strategy must be 'direct' or 'refine', got {strategy!r}"
-            )
+        self.spec = SolveSpec(
+            num_reads=num_reads,
+            seed=seed,
+            sampler_params=sampler_params,
+            sampler_factory=sampler_factory,
+            penalty_strength=penalty_strength,
+            policy=policy,
+            strategy=strategy,
+            refine_max_rounds=refine_max_rounds,
+            opt_max_restarts=opt_max_restarts,
+            opt_exhaustive_bits=opt_exhaustive_bits,
+        )
         if batch_window_ms > 0 and strategy != "direct":
             raise ValueError(
                 "micro-batching requires strategy='direct'; fused tiles "
@@ -208,18 +141,8 @@ class SolverWorkerPool:
                 f"RNG objects cannot be shared across workers: {type(seed)!r}"
             )
         self.workers = workers
-        self.num_reads = num_reads
-        self.seed = seed
-        self.sampler_params = dict(sampler_params or {})
-        self.sampler_factory = sampler_factory
-        self.penalty_strength = penalty_strength
-        self.policy = policy if policy is not None else RetryPolicy(max_attempts=3)
         self.cache = cache if cache is not None else CompileCache(maxsize=256)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.strategy = strategy
-        self.refine_max_rounds = refine_max_rounds
-        self.opt_max_restarts = opt_max_restarts
-        self.opt_exhaustive_bits = opt_exhaustive_bits
         # Sized at 2× the slot count, not 1×: when a deadline expires the
         # admission slot is released immediately but the abandoned thread
         # may still run one final attempt. With exactly `workers` threads a
@@ -237,15 +160,6 @@ class SolverWorkerPool:
         self._batch_queue: Optional[asyncio.Queue] = None
         self._collector: Optional[asyncio.Task] = None
         self._dispatches: set = set()
-
-    # ------------------------------------------------------------------ #
-    # deadline composition
-    # ------------------------------------------------------------------ #
-
-    def effective_policy(self, remaining: Optional[float]) -> RetryPolicy:
-        """The configured policy with its attempt timeout clamped to the
-        remaining deadline budget."""
-        return clamp_policy(self.policy, remaining)
 
     def cache_stats(self) -> CacheStats:
         """The shared compile cache's statistics (backend-uniform API)."""
@@ -273,28 +187,7 @@ class SolverWorkerPool:
             # share a fused kernel call (the tile solves with one parameter
             # set); they take the ordinary per-thread path below.
             return await self._solve_batched(list(assertions), remaining)
-        context = _RequestContext()
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._executor,
-            self._solve_blocking,
-            list(assertions),
-            self.effective_policy(remaining),
-            dict(solve_params or {}),
-            context,
-        )
-        try:
-            if remaining is None:
-                return await future
-            return await asyncio.wait_for(future, timeout=max(remaining, 1e-3))
-        except asyncio.TimeoutError:
-            context.cancelled.set()
-            self.metrics.counter("server.timeout").inc()
-            self.metrics.counter("server.timeout.solving").inc()
-            raise DeadlineExceededError("solving", remaining or 0.0) from None
-        except asyncio.CancelledError:
-            context.cancelled.set()
-            raise
+        return await self._run(list(assertions), [], remaining, solve_params)
 
     async def optimize(
         self,
@@ -312,68 +205,51 @@ class SolverWorkerPool:
         its anytime ``deadline_ms`` (it stops opening restarts past it);
         the event-loop ``wait_for`` stays authoritative.
         """
-        context = _RequestContext()
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._executor,
-            self._optimize_blocking,
-            list(assertions),
-            list(soft_assertions),
-            remaining,
-            dict(solve_params or {}),
-            context,
+        return await self._run(
+            list(assertions), list(soft_assertions), remaining, solve_params
         )
+
+    async def _run(
+        self,
+        assertions: List[ast.Term],
+        soft: List[ast.SoftAssertion],
+        remaining: Optional[float],
+        solve_params: Optional[Dict[str, Any]],
+    ) -> SolveOutcome:
+        """Execute one request on a worker thread under its deadline."""
+        cancelled = threading.Event()
+        self.metrics.counter("server.solves").inc()
+        if soft:
+            self.metrics.counter("server.optimizes").inc()
+        run = partial(
+            execute,
+            self.spec,
+            assertions,
+            soft,
+            cache=self.cache,
+            metrics=self.metrics,
+            policy=_CancellablePolicy(self.spec.policy_within(remaining), cancelled),
+            remaining=remaining,
+            solve_params=solve_params,
+        )
+        future = asyncio.get_running_loop().run_in_executor(self._executor, run)
+        try:
+            return await self._within(future, remaining)
+        finally:
+            # Stops an abandoned (timed-out or cancelled) thread's retry
+            # loop before its next attempt; a no-op once the solve is done.
+            cancelled.set()
+
+    async def _within(self, awaitable: Any, remaining: Optional[float]) -> Any:
+        """Await *awaitable* within the request's remaining deadline."""
         try:
             if remaining is None:
-                return await future
-            return await asyncio.wait_for(future, timeout=max(remaining, 1e-3))
+                return await awaitable
+            return await asyncio.wait_for(awaitable, timeout=max(remaining, 1e-3))
         except asyncio.TimeoutError:
-            context.cancelled.set()
             self.metrics.counter("server.timeout").inc()
             self.metrics.counter("server.timeout.solving").inc()
             raise DeadlineExceededError("solving", remaining or 0.0) from None
-        except asyncio.CancelledError:
-            context.cancelled.set()
-            raise
-
-    def _optimize_blocking(
-        self,
-        assertions: List[ast.Term],
-        soft_assertions: List[ast.SoftAssertion],
-        remaining: Optional[float],
-        solve_params: Dict[str, Any],
-        context: _RequestContext,
-    ) -> SolveOutcome:
-        from repro.opt import AnytimeOptimizer
-
-        timer = Timer().start()
-        self.metrics.counter("server.solves").inc()
-        self.metrics.counter("server.optimizes").inc()
-        try:
-            optimizer = AnytimeOptimizer(
-                sampler=self.sampler_factory() if self.sampler_factory else None,
-                num_reads=self.num_reads,
-                seed=self.seed,
-                sampler_params=self.sampler_params,
-                penalty_strength=self.penalty_strength,
-                max_restarts=self.opt_max_restarts,
-                deadline_ms=None if remaining is None else max(remaining, 1e-3) * 1000.0,
-                exhaustive_bits=self.opt_exhaustive_bits,
-                metrics=self.metrics,
-            )
-            result = optimizer.optimize(assertions, soft_assertions, **solve_params)
-            return outcome_from_optimize(result, wall_time=timer.stop())
-        except Exception as exc:  # noqa: BLE001 — boundary: degrade, don't crash
-            return SolveOutcome(
-                result=SmtResult(
-                    status="unknown", reason=f"{type(exc).__name__}: {exc}"
-                ),
-                cache_hit=False,
-                wall_time=timer.stop(),
-                error=str(exc),
-                error_type=type(exc).__name__,
-                opt_status="unknown",
-            )
 
     # ------------------------------------------------------------------ #
     # micro-batching
@@ -387,22 +263,13 @@ class SolverWorkerPool:
         loop = asyncio.get_running_loop()
         item = _BatchItem(
             assertions=assertions,
-            policy=self.effective_policy(remaining),
+            policy=self.spec.policy_within(remaining),
             future=loop.create_future(),
         )
         self._batch_queue.put_nowait(item)
-        try:
-            # shield(): a deadline must not cancel the shared future — the
-            # dispatcher still resolves it for the batch's other members.
-            if remaining is None:
-                return await asyncio.shield(item.future)
-            return await asyncio.wait_for(
-                asyncio.shield(item.future), timeout=max(remaining, 1e-3)
-            )
-        except asyncio.TimeoutError:
-            self.metrics.counter("server.timeout").inc()
-            self.metrics.counter("server.timeout.solving").inc()
-            raise DeadlineExceededError("solving", remaining or 0.0) from None
+        # shield(): a deadline must not cancel the shared future — the
+        # dispatcher still resolves it for the batch's other members.
+        return await self._within(asyncio.shield(item.future), remaining)
 
     def _ensure_collector(self) -> None:
         if self._collector is None or self._collector.done():
@@ -447,16 +314,7 @@ class SolverWorkerPool:
                 self._executor, self._solve_batch_blocking, batch
             )
         except Exception as exc:  # noqa: BLE001 — boundary: degrade, don't crash
-            outcomes = [
-                SolveOutcome(
-                    result=SmtResult(
-                        status="unknown", reason=f"{type(exc).__name__}: {exc}"
-                    ),
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                )
-                for _ in batch
-            ]
+            outcomes = [SolveOutcome.failed(exc) for _ in batch]
         for item, outcome in zip(batch, outcomes):
             # done() guards against requests that timed out while fused.
             if not item.future.done():
@@ -469,82 +327,14 @@ class SolverWorkerPool:
         self.metrics.counter("server.batched_solves").inc(len(batch))
         self.metrics.counter("server.solves").inc(len(batch))
         self.metrics.observe("server.batch_size", float(len(batch)))
-        outcomes = solve_batch_fused(
+        return solve_batch_fused(
             [item.assertions for item in batch],
-            sampler_factory=self.sampler_factory,
-            num_reads=self.num_reads,
-            seed=self.seed,
-            sampler_params=self.sampler_params,
-            penalty_strength=self.penalty_strength,
-            policy=self.policy,
+            self.spec,
             policies=[item.policy for item in batch],
             cache=self.cache,
             metrics=self.metrics,
             tile_max=self.batch_max,
         )
-        return [
-            SolveOutcome(
-                result=outcome.result,
-                cache_hit=outcome.cache_hit,
-                wall_time=outcome.wall_time,
-                error=outcome.error,
-                error_type=outcome.error_type,
-            )
-            for outcome in outcomes
-        ]
-
-    def _solve_blocking(
-        self,
-        assertions: List[ast.Term],
-        policy: RetryPolicy,
-        solve_params: Dict[str, Any],
-        context: _RequestContext,
-    ) -> SolveOutcome:
-        timer = Timer().start()
-        self.metrics.counter("server.solves").inc()
-        solver = QuantumSMTSolver(
-            sampler=self.sampler_factory() if self.sampler_factory else None,
-            num_reads=self.num_reads,
-            seed=self.seed,
-            sampler_params=self.sampler_params,
-            penalty_strength=self.penalty_strength,
-            retry_policy=_CancellablePolicy.wrap(policy, context.cancelled),
-            metrics=self.metrics,
-            strategy=self.strategy,
-            refine_max_rounds=self.refine_max_rounds,
-            compile_cache=self.cache if self.strategy == "refine" else None,
-        )
-        solver.assertions = list(assertions)
-        try:
-            problem, hit = self.cache.get_or_compile(
-                assertions,
-                penalty_strength=self.penalty_strength,
-                seed=self.seed,
-                compile_fn=solver.compile,
-            )
-            self.metrics.counter("cache.hits" if hit else "cache.misses").inc()
-            result = solver.solve_compiled(problem, **solve_params)
-            return SolveOutcome(result=result, cache_hit=hit, wall_time=timer.stop())
-        except SolveCancelled:
-            raise
-        except RetryExhaustedError as exc:
-            # Typed robustness-layer failure: surfaced as unknown, like the
-            # batch service — never a crash, never a silent drop.
-            return SolveOutcome(
-                result=SmtResult(status="unknown", reason=str(exc)),
-                cache_hit=False,
-                wall_time=timer.stop(),
-                error=str(exc),
-                error_type=type(exc).__name__,
-            )
-        except Exception as exc:  # noqa: BLE001 — boundary: degrade, don't crash
-            return SolveOutcome(
-                result=SmtResult(status="unknown", reason=f"{type(exc).__name__}: {exc}"),
-                cache_hit=False,
-                wall_time=timer.stop(),
-                error=str(exc),
-                error_type=type(exc).__name__,
-            )
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -578,19 +368,10 @@ class _CancellablePolicy:
         self._cancelled = cancelled
         self.max_attempts = policy.max_attempts
 
-    @classmethod
-    def wrap(cls, policy: RetryPolicy, cancelled: threading.Event) -> "_CancellablePolicy":
-        return cls(policy, cancelled)
-
     def run(self, attempt, **kwargs):
         def guarded(index: int):
             if self._cancelled.is_set():
                 raise SolveCancelled("request abandoned; stopping retries")
             return attempt(index)
 
-        try:
-            return self._policy.run(guarded, **kwargs)
-        except RetryExhaustedError as exc:
-            if isinstance(exc.last_exception, SolveCancelled):
-                raise exc.last_exception
-            raise
+        return self._policy.run(guarded, **kwargs)

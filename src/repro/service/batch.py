@@ -9,8 +9,9 @@ pool, and reports per-stage timings plus cache statistics through a
 
 Determinism contract
 --------------------
-Every item is solved by a **fresh** :class:`~repro.smt.solver.QuantumSMTSolver`
-seeded with the batch's base seed, so for a fixed seed each item's result is
+Every item goes through :func:`repro.service.spec.execute` — a **fresh**
+:class:`~repro.smt.solver.QuantumSMTSolver` seeded with the batch's base
+seed — so for a fixed seed each item's result is
 bit-identical to running ``QuantumSMTSolver(seed=...).check_sat()`` on that
 item alone — independent of worker count, executor choice and cache state.
 (The compile cache is sound because compilation is a pure function of
@@ -29,16 +30,16 @@ from __future__ import annotations
 
 import concurrent.futures as cf
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.anneal.base import Sampler
 from repro.service.cache import CompileCache
 from repro.service.metrics import MetricsRegistry
-from repro.service.policy import RetryExhaustedError, RetryPolicy
+from repro.service.policy import RetryPolicy
+from repro.service.spec import SolveOutcome, SolveSpec, execute
 from repro.smt import ast
-from repro.smt.compiler import CompilationError
 from repro.smt.parser import SmtScript, parse_script
-from repro.smt.solver import QuantumSMTSolver, SmtResult
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
 
@@ -49,31 +50,11 @@ __all__ = ["BatchItemResult", "BatchReport", "BatchSolver"]
 BatchItem = Union[str, SmtScript, Sequence[ast.Term]]
 
 
-@dataclass
-class BatchItemResult:
-    """Outcome of one batch item, in submission order."""
+@dataclass(repr=False)
+class BatchItemResult(SolveOutcome):
+    """Outcome of one batch item: a :class:`SolveOutcome` plus its index."""
 
-    index: int
-    result: SmtResult
-    cache_hit: bool = False
-    wall_time: float = 0.0
-    error: str = ""
-    error_type: str = ""
-    #: Optimization-mode refinement (items carrying soft assertions):
-    #: MaxSMT status plus the objective/bound bracket; plain items keep
-    #: the null defaults.
-    opt_status: str = ""
-    objective: Optional[float] = None
-    lower_bound: Optional[float] = None
-    upper_bound: Optional[float] = None
-
-    @property
-    def status(self) -> str:
-        return self.result.status
-
-    @property
-    def model(self) -> Dict[str, str]:
-        return self.result.model
+    index: int = 0
 
     def __repr__(self) -> str:
         if self.opt_status:
@@ -136,9 +117,10 @@ class BatchSolver:
         are not assumed thread-safe). ``None`` uses each solver's default
         simulated annealer — the paper's configuration.
     num_reads, seed, sampler_params, penalty_strength:
-        Forwarded to the per-item :class:`QuantumSMTSolver`. The *same*
-        base seed is used for every item, which is exactly what makes batch
-        results element-wise reproducible against the sequential path.
+        Fields of the batch's :class:`~repro.service.spec.SolveSpec`, from
+        which every item's fresh solver is built. The *same* base seed is
+        used for every item, which is exactly what makes batch results
+        element-wise reproducible against the sequential path.
     policy:
         Shared :class:`RetryPolicy` (default: 3 attempts, no backoff).
     cache:
@@ -198,10 +180,21 @@ class BatchSolver:
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if strategy not in ("direct", "refine"):
-            raise ValueError(
-                f"strategy must be 'direct' or 'refine', got {strategy!r}"
-            )
+        self.spec = SolveSpec(
+            num_reads=num_reads,
+            seed=seed,
+            sampler_params=sampler_params,
+            sampler_factory=sampler_factory,
+            penalty_strength=penalty_strength,
+            policy=(
+                policy if policy is not None else RetryPolicy(max_attempts=max_attempts)
+            ),
+            strategy=strategy,
+            refine_max_rounds=refine_max_rounds,
+            opt_max_restarts=opt_max_restarts,
+            opt_deadline_ms=opt_deadline_ms,
+            opt_exhaustive_bits=opt_exhaustive_bits,
+        )
         if executor == "fused" and strategy != "direct":
             raise ValueError(
                 "executor='fused' requires strategy='direct'; fused tiles "
@@ -218,24 +211,11 @@ class BatchSolver:
                 "BatchSolver needs a reproducible seed (int or None); live "
                 f"RNG objects cannot be shared across workers: {type(seed)!r}"
             )
-        self.sampler_factory = sampler_factory
-        self.num_reads = num_reads
-        self.seed = seed
-        self.sampler_params = dict(sampler_params or {})
-        self.penalty_strength = penalty_strength
-        self.policy = (
-            policy if policy is not None else RetryPolicy(max_attempts=max_attempts)
-        )
         self.cache = cache if cache is not None else CompileCache(maxsize=256)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.num_workers = num_workers
         self.executor = executor
         self.tile_max = tile_max
-        self.strategy = strategy
-        self.refine_max_rounds = refine_max_rounds
-        self.opt_max_restarts = opt_max_restarts
-        self.opt_deadline_ms = opt_deadline_ms
-        self.opt_exhaustive_bits = opt_exhaustive_bits
 
     # ------------------------------------------------------------------ #
     # submission
@@ -246,41 +226,38 @@ class BatchSolver:
     ) -> BatchReport:
         """Solve every item; results come back in submission order."""
         pairs = [self._coerce(item) for item in items]
-        results: List[Optional[BatchItemResult]] = [None] * len(pairs)
+        run = partial(
+            execute,
+            self.spec,
+            cache=self.cache,
+            metrics=self.metrics,
+            solve_params=solve_params,
+        )
 
         with Timer() as timer:
             if self.executor == "fused":
-                results = self._solve_fused(pairs, solve_params)
+                outcomes = self._solve_fused(pairs, run, solve_params)
             elif self.executor == "serial" or len(pairs) <= 1:
-                for index, (assertions, soft) in enumerate(pairs):
-                    results[index] = self._solve_one(
-                        index, assertions, soft, solve_params
-                    )
+                outcomes = [run(hard, soft) for hard, soft in pairs]
             else:
                 width = min(self.num_workers, len(pairs))
                 with cf.ThreadPoolExecutor(
                     max_workers=width, thread_name_prefix="batch-solver"
                 ) as pool:
-                    futures = {
-                        pool.submit(
-                            self._solve_one, index, assertions, soft, solve_params
-                        ): index
-                        for index, (assertions, soft) in enumerate(pairs)
-                    }
-                    for future in cf.as_completed(futures):
-                        results[futures[future]] = future.result()
+                    outcomes = list(pool.map(lambda pair: run(*pair), pairs))
+            results = [
+                self._record(index, outcome) for index, outcome in enumerate(outcomes)
+            ]
 
         wall = timer.elapsed
         self.metrics.counter("batch.runs").inc()
         self.metrics.observe("batch.wall", wall)
-        stats = self.cache.stats
-        report = BatchReport(
-            items=[r for r in results if r is not None],
+        return BatchReport(
+            items=results,
             wall_time=wall,
-            cache_stats=stats,
+            cache_stats=self.cache.stats,
             metrics=self.export_metrics(),
         )
-        return report
 
     def solve_scripts(self, scripts: Sequence[str], **solve_params: Any) -> BatchReport:
         """Convenience alias: every item is SMT-LIB source text."""
@@ -289,53 +266,45 @@ class BatchSolver:
     def _solve_fused(
         self,
         pairs: List[Tuple[List[ast.Term], List[ast.SoftAssertion]]],
+        run: Callable[..., SolveOutcome],
         solve_params: Dict[str, Any],
-    ) -> List[BatchItemResult]:
+    ) -> List[SolveOutcome]:
         """The ``executor="fused"`` path: tile QUBOs across items.
 
-        Delegates to :func:`repro.service.fused.solve_batch_fused` (which
-        shares this solver's cache, metrics and retry policy) and maps its
-        outcomes onto :class:`BatchItemResult` with the same ``batch.*``
-        counters the per-item executors emit. Weighted items cannot join a
-        fused tile (the tiler solves sat-only QUBOs); they take the
-        per-item optimize path and are stitched back in submission order.
+        Plain items go through :func:`repro.service.fused.solve_batch_fused`
+        (sharing this solver's spec, cache and metrics). Weighted items
+        cannot join a fused tile (the tiler solves sat-only QUBOs); they
+        take the per-item optimize path and are stitched back in
+        submission order.
         """
         from repro.service.fused import solve_batch_fused
 
-        results: List[Optional[BatchItemResult]] = [None] * len(pairs)
-        plain = [(i, hard) for i, (hard, soft) in enumerate(pairs) if not soft]
-        for index, (hard, soft) in enumerate(pairs):
-            if soft:
-                results[index] = self._solve_one(index, hard, soft, solve_params)
-        if not plain:
-            return [r for r in results if r is not None]
-        outcomes = solve_batch_fused(
-            [hard for _, hard in plain],
-            sampler_factory=self.sampler_factory,
-            num_reads=self.num_reads,
-            seed=self.seed,
-            sampler_params=self.sampler_params,
-            penalty_strength=self.penalty_strength,
-            policy=self.policy,
-            cache=self.cache,
-            metrics=self.metrics,
-            tile_max=self.tile_max,
-            solve_params=solve_params,
-        )
-        for (index, _), outcome in zip(plain, outcomes):
-            self.metrics.counter("batch.items").inc()
-            item = BatchItemResult(
-                index=index,
-                result=outcome.result,
-                cache_hit=outcome.cache_hit,
-                wall_time=outcome.wall_time,
-                error=outcome.error,
-                error_type=outcome.error_type,
+        outcomes: List[Optional[SolveOutcome]] = [
+            run(hard, soft) if soft else None for hard, soft in pairs
+        ]
+        plain = [index for index, (_, soft) in enumerate(pairs) if not soft]
+        if plain:
+            fused = solve_batch_fused(
+                [pairs[index][0] for index in plain],
+                self.spec,
+                cache=self.cache,
+                metrics=self.metrics,
+                tile_max=self.tile_max,
+                solve_params=solve_params,
             )
-            self.metrics.observe("batch.item_wall", item.wall_time)
-            self.metrics.counter(f"batch.{item.status}").inc()
-            results[index] = item
-        return [r for r in results if r is not None]
+            for index, outcome in zip(plain, fused):
+                outcomes[index] = outcome
+        return outcomes
+
+    def _record(self, index: int, outcome: SolveOutcome) -> BatchItemResult:
+        """Count one finished item into the ``batch.*`` metrics."""
+        self.metrics.counter("batch.items").inc()
+        self.metrics.observe("batch.item_wall", outcome.wall_time)
+        self.metrics.counter(f"batch.{outcome.status}").inc()
+        if outcome.opt_status:
+            self.metrics.counter("batch.optimizes").inc()
+            self.metrics.counter(f"batch.opt.{outcome.opt_status}").inc()
+        return BatchItemResult(index=index, **vars(outcome))
 
     # ------------------------------------------------------------------ #
     # per-item work
@@ -364,140 +333,6 @@ class BatchSolver:
             "batch items must be SMT-LIB text, an SmtScript, or a sequence "
             f"of assertions; got {type(item)!r}"
         )
-
-    def _make_solver(self) -> QuantumSMTSolver:
-        sampler = self.sampler_factory() if self.sampler_factory else None
-        return QuantumSMTSolver(
-            sampler=sampler,
-            num_reads=self.num_reads,
-            seed=self.seed,
-            sampler_params=self.sampler_params,
-            penalty_strength=self.penalty_strength,
-            retry_policy=self.policy,
-            metrics=self.metrics,
-            strategy=self.strategy,
-            refine_max_rounds=self.refine_max_rounds,
-            compile_cache=self.cache if self.strategy == "refine" else None,
-        )
-
-    def _solve_one(
-        self,
-        index: int,
-        assertions: List[ast.Term],
-        soft_assertions: List[ast.SoftAssertion],
-        solve_params: Dict[str, Any],
-    ) -> BatchItemResult:
-        if soft_assertions:
-            return self._optimize_one(
-                index, assertions, soft_assertions, solve_params
-            )
-        timer = Timer().start()
-        self.metrics.counter("batch.items").inc()
-        solver = self._make_solver()
-        solver.assertions = list(assertions)
-        try:
-            problem, hit = self.cache.get_or_compile(
-                assertions,
-                penalty_strength=self.penalty_strength,
-                seed=self.seed,
-                compile_fn=solver.compile,
-            )
-            self.metrics.counter("cache.hits" if hit else "cache.misses").inc()
-            result = solver.solve_compiled(problem, **solve_params)
-            item = BatchItemResult(
-                index=index,
-                result=result,
-                cache_hit=hit,
-                wall_time=timer.stop(),
-            )
-        except CompilationError as exc:
-            # Out-of-fragment items degrade to unknown, like check_sat.
-            item = BatchItemResult(
-                index=index,
-                result=SmtResult(status="unknown", reason=f"compilation: {exc}"),
-                cache_hit=False,
-                wall_time=timer.stop(),
-                error=str(exc),
-                error_type=type(exc).__name__,
-            )
-        except RetryExhaustedError as exc:
-            # The typed robustness-layer failure: surfaced, never silent.
-            item = BatchItemResult(
-                index=index,
-                result=SmtResult(status="unknown", reason=str(exc)),
-                cache_hit=False,
-                wall_time=timer.stop(),
-                error=str(exc),
-                error_type=type(exc).__name__,
-            )
-        self.metrics.observe("batch.item_wall", item.wall_time)
-        self.metrics.counter(f"batch.{item.status}").inc()
-        return item
-
-    def _optimize_one(
-        self,
-        index: int,
-        assertions: List[ast.Term],
-        soft_assertions: List[ast.SoftAssertion],
-        solve_params: Dict[str, Any],
-    ) -> BatchItemResult:
-        """One weighted-MaxSMT item: anytime optimize instead of decide.
-
-        The MaxSMT status is projected onto the sat/unsat/unknown axis
-        for the item's :class:`SmtResult` (feasible → sat); the full
-        refinement rides in the item's ``opt_*``/bound fields.
-        """
-        import math
-
-        from repro.opt import AnytimeOptimizer, solve_status_for
-
-        timer = Timer().start()
-        self.metrics.counter("batch.items").inc()
-        self.metrics.counter("batch.optimizes").inc()
-        optimizer = AnytimeOptimizer(
-            sampler=self.sampler_factory() if self.sampler_factory else None,
-            num_reads=self.num_reads,
-            seed=self.seed,
-            sampler_params=self.sampler_params,
-            penalty_strength=self.penalty_strength,
-            max_restarts=self.opt_max_restarts,
-            deadline_ms=self.opt_deadline_ms,
-            exhaustive_bits=self.opt_exhaustive_bits,
-            metrics=self.metrics,
-        )
-        try:
-            result = optimizer.optimize(
-                assertions, soft_assertions, **solve_params
-            )
-            upper = float(result.upper_bound)
-            item = BatchItemResult(
-                index=index,
-                result=SmtResult(
-                    status=solve_status_for(result.status),
-                    model=dict(result.model),
-                    reason=result.reason,
-                ),
-                cache_hit=False,
-                wall_time=timer.stop(),
-                opt_status=str(result.status),
-                objective=result.objective,
-                lower_bound=float(result.lower_bound),
-                upper_bound=None if math.isinf(upper) else upper,
-            )
-        except RetryExhaustedError as exc:
-            item = BatchItemResult(
-                index=index,
-                result=SmtResult(status="unknown", reason=str(exc)),
-                cache_hit=False,
-                wall_time=timer.stop(),
-                error=str(exc),
-                error_type=type(exc).__name__,
-                opt_status="unknown",
-            )
-        self.metrics.observe("batch.item_wall", item.wall_time)
-        self.metrics.counter(f"batch.{item.status}").inc()
-        self.metrics.counter(f"batch.opt.{item.opt_status}").inc()
-        return item
 
     # ------------------------------------------------------------------ #
     # observability

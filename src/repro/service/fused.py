@@ -12,10 +12,11 @@ serial executors pay one full solve pipeline per item, this engine:
    ``sample_tiled`` kernel call,
 4. decodes/verifies each block back into per-variable
    :class:`~repro.core.solver.SolveResult`\\ s, and
-5. falls back to the untiled per-item solve path — a fresh
-   :class:`~repro.smt.solver.QuantumSMTSolver` with the full retry policy,
+5. falls back to the untiled per-item solve path —
+   :func:`repro.service.spec.execute` with the full retry policy,
    bit-identical to the thread/serial executors — for any item whose fused
-   first pass fails verification or the final model check.
+   first pass fails verification or the final model check, or whose tile
+   kernel call raised.
 
 Determinism & chunking
 ----------------------
@@ -37,79 +38,60 @@ applied by the fallback. Counters: ``fused.tiles``, ``fused.blocks``,
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.anneal.base import Sampler
 from repro.anneal.simulated import SimulatedAnnealingSampler
 from repro.core.solver import SolveResult, result_from_sampleset
 from repro.qubo.tile import tile_models
 from repro.service.cache import CompileCache
 from repro.service.metrics import MetricsRegistry
-from repro.service.policy import RetryExhaustedError, RetryPolicy
+from repro.service.policy import RetryPolicy
+from repro.service.spec import SolveOutcome, SolveSpec, compile_cached, execute
 from repro.smt import ast
-from repro.smt.compiler import CompilationError, compile_assertions
-from repro.smt.solver import QuantumSMTSolver, SmtResult
+from repro.smt.compiler import CompilationError
+from repro.smt.solver import SmtResult
 from repro.smt.theory import eval_formula
 
 __all__ = ["FusedItemOutcome", "solve_batch_fused"]
 
+#: The fused executor's per-item outcome is the shared single-item type;
+#: its ``path`` field records how the item was decided.
+FusedItemOutcome = SolveOutcome
+
 
 @dataclass
-class FusedItemOutcome:
-    """Per-item outcome of one fused batch solve, in submission order."""
-
-    result: SmtResult
-    cache_hit: bool = False
-    wall_time: float = 0.0
-    error: str = ""
-    error_type: str = ""
-    #: How the item was decided: ``"fused"`` (tile pass), ``"fallback"``
-    #: (tile pass failed verification; solo re-solve), ``"trivial"``
-    #: (unsat/no QUBOs — no sampling involved), or ``"error"``.
-    path: str = "fused"
-
-    @property
-    def status(self) -> str:
-        return self.result.status
-
-
 class _PendingItem:
     """Book-keeping for one item while the batch is in flight."""
 
-    __slots__ = ("assertions", "problem", "cache_hit", "wall", "outcome", "samplesets")
-
-    def __init__(self, assertions: List[ast.Term]) -> None:
-        self.assertions = assertions
-        self.problem = None
-        self.cache_hit = False
-        self.wall = 0.0
-        self.outcome: Optional[FusedItemOutcome] = None
-        self.samplesets: Dict[str, Any] = {}
+    assertions: List[ast.Term]
+    policy: Optional[RetryPolicy]
+    problem: Any = None
+    cache_hit: bool = False
+    wall: float = 0.0
+    outcome: Optional[SolveOutcome] = None
+    #: Per-variable fused sample sets; ``None`` once a tile holding one of
+    #: this item's blocks failed.
+    samplesets: Optional[Dict[str, Any]] = field(default_factory=dict)
 
 
 def solve_batch_fused(
     assertion_sets: Sequence[Sequence[ast.Term]],
+    spec: SolveSpec,
     *,
-    sampler_factory: Optional[Callable[[], Sampler]] = None,
-    num_reads: int = 64,
-    seed: Any = None,
-    sampler_params: Optional[Dict[str, Any]] = None,
-    penalty_strength: float = 1.0,
-    policy: Optional[RetryPolicy] = None,
     policies: Optional[Sequence[Optional[RetryPolicy]]] = None,
     cache: Optional[CompileCache] = None,
     metrics: Optional[MetricsRegistry] = None,
     tile_max: int = 16,
     solve_params: Optional[Dict[str, Any]] = None,
-) -> List[FusedItemOutcome]:
+) -> List[SolveOutcome]:
     """Solve many assertion conjunctions through block-diagonal tiling.
 
-    Parameters mirror :class:`~repro.service.batch.BatchSolver`;
+    *spec* configures the tile pass and every per-item fallback;
     ``policies`` optionally supplies a per-item retry policy (the server
-    clamps each request's policy into its deadline), overriding *policy*
-    for that item's fallback solve. Returns one
-    :class:`FusedItemOutcome` per item, in order.
+    clamps each request's policy into its deadline), overriding
+    ``spec.policy`` for that item's fallback solve. Returns one
+    :class:`~repro.service.spec.SolveOutcome` per item, in order.
     """
     if tile_max < 1:
         raise ValueError(f"tile_max must be >= 1, got {tile_max}")
@@ -120,158 +102,120 @@ def solve_batch_fused(
         )
     cache = cache if cache is not None else CompileCache(maxsize=256)
     metrics = metrics if metrics is not None else MetricsRegistry()
-    base_policy = policy if policy is not None else RetryPolicy(max_attempts=3)
-    sampler_params = dict(sampler_params or {})
     solve_params = dict(solve_params or {})
+    items = [
+        _PendingItem(list(assertions), policies[i] if policies is not None else None)
+        for i, assertions in enumerate(assertion_sets)
+    ]
 
-    def item_policy(index: int) -> RetryPolicy:
-        if policies is not None and policies[index] is not None:
-            return policies[index]
-        return base_policy
-
-    def make_solver(index: int) -> QuantumSMTSolver:
-        sampler = sampler_factory() if sampler_factory else None
-        return QuantumSMTSolver(
-            sampler=sampler,
-            num_reads=num_reads,
-            seed=seed,
-            sampler_params=sampler_params,
-            penalty_strength=penalty_strength,
-            retry_policy=item_policy(index),
+    def fallback(item: _PendingItem, path: str) -> SolveOutcome:
+        outcome = execute(
+            spec,
+            item.assertions,
+            cache=cache,
             metrics=metrics,
+            policy=item.policy,
+            solve_params=solve_params,
+            compiled=item.problem,
         )
-
-    items = [_PendingItem(list(assertions)) for assertions in assertion_sets]
+        outcome.path = path
+        return outcome
 
     # ---- phase 1: compile (shared cache), settle trivial/error items ---- #
-    for index, item in enumerate(items):
+    for item in items:
         start = time.perf_counter()
         try:
-            with metrics.time("compile"):
-                problem, hit = cache.get_or_compile(
-                    item.assertions,
-                    penalty_strength=penalty_strength,
-                    seed=seed,
-                    compile_fn=lambda a=item.assertions: compile_assertions(
-                        list(a), penalty_strength=penalty_strength, seed=seed
-                    ),
-                )
-            metrics.counter("cache.hits" if hit else "cache.misses").inc()
-            item.problem = problem
-            item.cache_hit = hit
-            if problem.trivially_unsat or not problem.formulations:
+            item.problem, item.cache_hit = compile_cached(
+                spec, item.assertions, cache, metrics
+            )
+        except CompilationError as exc:  # out-of-fragment → unknown
+            item.outcome = SolveOutcome.failed(exc)
+            item.outcome.path = "error"
+        else:
+            if item.problem.trivially_unsat or not item.problem.formulations:
                 # No sampling needed: solve_compiled short-circuits to
                 # unsat / evaluates the ground conjunction.
                 metrics.counter("fused.trivial").inc()
-                result = _run_fallback(make_solver(index), item, solve_params)
-                item.outcome = FusedItemOutcome(
-                    result=result, cache_hit=hit, path="trivial"
-                )
-        except CompilationError as exc:
-            item.outcome = FusedItemOutcome(
-                result=SmtResult(status="unknown", reason=f"compilation: {exc}"),
-                error=str(exc),
-                error_type=type(exc).__name__,
-                path="error",
-            )
+                item.outcome = fallback(item, "trivial")
         item.wall += time.perf_counter() - start
 
     # ---- phase 2: tile the pending QUBOs and solve fused ---- #
-    entries = []  # (item, variable, formulation, model)
+    entries = []  # (item, variable, model)
     with metrics.time("embed"):
         for item in items:
             if item.outcome is not None:
                 continue
             for variable, formulation in item.problem.formulations.items():
-                entries.append((item, variable, formulation, formulation.build_model()))
+                entries.append((item, variable, formulation.build_model()))
 
-    sampler = sampler_factory() if sampler_factory else SimulatedAnnealingSampler()
-    tile_params = {**sampler_params, **solve_params}
-    tile_params.setdefault("num_reads", num_reads)
-    base_seed = tile_params.pop("seed", seed)
+    sampler = spec.sampler() or SimulatedAnnealingSampler()
+    tile_params = {**spec.sampler_params, **solve_params}
+    tile_params.setdefault("num_reads", spec.num_reads)
+    base_seed = tile_params.pop("seed", spec.seed)
     for lo in range(0, len(entries), tile_max):
         chunk = entries[lo : lo + tile_max]
-        tiled = tile_models([entry[3] for entry in chunk])
+        tiled = tile_models([entry[2] for entry in chunk])
         start = time.perf_counter()
-        with metrics.time("anneal"):
-            samplesets = sampler.sample_tiled(tiled, seed=base_seed, **tile_params)
+        try:
+            with metrics.time("anneal"):
+                samplesets = sampler.sample_tiled(
+                    tiled, seed=base_seed, **tile_params
+                )
+        except Exception:  # noqa: BLE001 — the tile's items fall back per item
+            samplesets = [None] * len(chunk)
         share = (time.perf_counter() - start) / len(chunk)
         metrics.counter("fused.tiles").inc()
         metrics.counter("fused.blocks").inc(len(chunk))
-        for (item, variable, _, _), sampleset in zip(chunk, samplesets):
-            item.samplesets[variable] = sampleset
+        for (item, variable, _), sampleset in zip(chunk, samplesets):
+            if sampleset is None or item.samplesets is None:
+                item.samplesets = None
+            else:
+                item.samplesets[variable] = sampleset
             item.wall += share
 
     # ---- phase 3: decode/verify per item; fall back where needed ---- #
-    for index, item in enumerate(items):
-        if item.outcome is not None:
-            item.outcome.wall_time = item.wall
-            continue
-        start = time.perf_counter()
-        outcome = _settle_item(item, index, make_solver, metrics, solve_params)
-        item.wall += time.perf_counter() - start
-        outcome.wall_time = item.wall
-        outcome.cache_hit = item.cache_hit
-        item.outcome = outcome
+    for item in items:
+        if item.outcome is None:
+            start = time.perf_counter()
+            item.outcome = _settle_item(item, metrics)
+            if item.outcome is None:
+                # The fused single pass missed (or its tile failed); re-solve
+                # solo with the full retry policy — bit-identical to the
+                # thread/serial executor path.
+                metrics.counter("fused.fallbacks").inc()
+                item.outcome = fallback(item, "fallback")
+            item.wall += time.perf_counter() - start
+        item.outcome.cache_hit = item.cache_hit
+        item.outcome.wall_time = item.wall
 
     return [item.outcome for item in items]
 
 
 def _settle_item(
-    item: _PendingItem,
-    index: int,
-    make_solver: Callable[[int], QuantumSMTSolver],
-    metrics: MetricsRegistry,
-    solve_params: Dict[str, Any],
-) -> FusedItemOutcome:
-    """Decode one item's fused blocks; fall back on any verification miss."""
+    item: _PendingItem, metrics: MetricsRegistry
+) -> Optional[SolveOutcome]:
+    """Decode one item's fused blocks; ``None`` on any verification miss."""
+    if item.samplesets is None:
+        return None
     model: Dict[str, str] = {}
     solve_results: Dict[str, SolveResult] = {}
-    verified = True
     with metrics.time("decode"):
         for variable, formulation in item.problem.formulations.items():
             result = result_from_sampleset(formulation, item.samplesets[variable])
-            solve_results[variable] = result
             if not result.ok:
-                verified = False
-                break
+                return None
+            solve_results[variable] = result
             model[variable] = result.output
-    if verified:
-        # Final end-to-end model check under the concrete semantics — the
-        # same gate solve_compiled applies before answering sat.
-        for assertion in item.assertions:
-            if ast.free_string_variables(assertion) and not eval_formula(
-                assertion, model
-            ):
-                verified = False
-                break
-    if verified:
-        metrics.counter("smt.check_sat").inc()
-        metrics.counter("smt.sat").inc()
-        return FusedItemOutcome(
-            result=SmtResult(status="sat", model=model, solve_results=solve_results),
-            path="fused",
-        )
-
-    # The fused single pass missed; re-solve solo with the full retry
-    # policy — bit-identical to the thread/serial executor path.
-    metrics.counter("fused.fallbacks").inc()
-    try:
-        result = _run_fallback(make_solver(index), item, solve_params)
-        return FusedItemOutcome(result=result, path="fallback")
-    except RetryExhaustedError as exc:
-        return FusedItemOutcome(
-            result=SmtResult(status="unknown", reason=str(exc)),
-            error=str(exc),
-            error_type=type(exc).__name__,
-            path="fallback",
-        )
-
-
-def _run_fallback(
-    solver: QuantumSMTSolver,
-    item: _PendingItem,
-    solve_params: Dict[str, Any],
-) -> SmtResult:
-    solver.assertions = list(item.assertions)
-    return solver.solve_compiled(item.problem, **solve_params)
+    # Final end-to-end model check under the concrete semantics — the
+    # same gate solve_compiled applies before answering sat.
+    for assertion in item.assertions:
+        if ast.free_string_variables(assertion) and not eval_formula(
+            assertion, model
+        ):
+            return None
+    metrics.counter("smt.check_sat").inc()
+    metrics.counter("smt.sat").inc()
+    return SolveOutcome(
+        result=SmtResult(status="sat", model=model, solve_results=solve_results),
+        path="fused",
+    )

@@ -56,10 +56,11 @@ from repro.utils.asciitab import CHAR_BITS
 from repro.service.cache import CompileCache, LruCache, compile_cache_key
 from repro.service.metrics import MetricsRegistry
 from repro.service.policy import RetryPolicy
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.compiler import CompilationError
 from repro.smt.parser import SmtScript, parse_script
-from repro.smt.solver import QuantumSMTSolver, SmtResult
+from repro.smt.solver import SmtResult
 from repro.smt.status import SolveStatus
 from repro.smt.theory import TheoryError, eval_formula
 
@@ -104,9 +105,10 @@ class SolverSession:
     ----------
     num_reads, seed, sampler_params, max_attempts, penalty_strength,
     retry_policy, metrics:
-        Solver configuration, forwarded to the fresh
+        Solver configuration: the session's
+        :class:`~repro.service.spec.SolveSpec` builds the fresh
         :class:`~repro.smt.solver.QuantumSMTSolver` each uncached check
-        builds. ``seed`` should be an int (or None) — live RNG objects
+        uses. ``seed`` should be an int (or None) — live RNG objects
         defeat both caches.
     sampler_factory:
         Optional zero-arg callable building the sampler per check (the
@@ -148,25 +150,29 @@ class SolverSession:
         opt_deadline_ms: Optional[float] = None,
         opt_exhaustive_bits: int = 16,
     ) -> None:
-        if strategy not in ("direct", "refine"):
-            raise SessionError(
-                f"strategy must be 'direct' or 'refine', got {strategy!r}"
+        try:
+            self.spec = SolveSpec(
+                num_reads=num_reads,
+                seed=seed,
+                sampler_params=sampler_params,
+                sampler_factory=sampler_factory,
+                penalty_strength=penalty_strength,
+                policy=(
+                    retry_policy
+                    if retry_policy is not None
+                    else RetryPolicy(max_attempts=max_attempts)
+                ),
+                strategy=strategy,
+                refine_max_rounds=refine_max_rounds,
+                opt_max_restarts=opt_max_restarts,
+                opt_deadline_ms=opt_deadline_ms,
+                opt_exhaustive_bits=opt_exhaustive_bits,
             )
-        self.num_reads = num_reads
-        self.seed = seed
-        self.sampler_params = dict(sampler_params or {})
-        self.max_attempts = max_attempts
-        self.penalty_strength = penalty_strength
-        self.retry_policy = retry_policy
-        self.sampler_factory = sampler_factory
+        except ValueError as exc:
+            raise SessionError(str(exc)) from None
         self.cache = cache if cache is not None else CompileCache(maxsize=256)
         self.warm_start = warm_start
         self.metrics = metrics
-        self.strategy = strategy
-        self.refine_max_rounds = refine_max_rounds
-        self.opt_max_restarts = opt_max_restarts
-        self.opt_deadline_ms = opt_deadline_ms
-        self.opt_exhaustive_bits = opt_exhaustive_bits
         self.declarations: Dict[str, Any] = {}
         self._frames: List[List[ast.Term]] = [[]]
         self._soft_frames: List[List[ast.SoftAssertion]] = [[]]
@@ -291,35 +297,17 @@ class SolverSession:
         that never asserted a soft constraint.
         """
         return compile_cache_key(
-            self.flattened(), self.penalty_strength, self.seed
+            self.flattened(), self.spec.penalty_strength, self.spec.seed
         )
 
     def opt_state_key(self) -> str:
         """Content hash of the weighted frame-stack state (hard + soft)."""
         return compile_cache_key(
             self.flattened(),
-            self.penalty_strength,
-            self.seed,
+            self.spec.penalty_strength,
+            self.spec.seed,
             soft=self.flattened_soft(),
         )
-
-    def _new_solver(self) -> QuantumSMTSolver:
-        sampler = self.sampler_factory() if self.sampler_factory else None
-        solver = QuantumSMTSolver(
-            sampler=sampler,
-            num_reads=self.num_reads,
-            seed=self.seed,
-            sampler_params=self.sampler_params,
-            max_attempts=self.max_attempts,
-            penalty_strength=self.penalty_strength,
-            retry_policy=self.retry_policy,
-            metrics=self.metrics,
-            strategy=self.strategy,
-            refine_max_rounds=self.refine_max_rounds,
-            compile_cache=self.cache,
-        )
-        solver.declarations = dict(self.declarations)
-        return solver
 
     def check_sat(self) -> SmtResult:
         """Decide the flattened stack at the current depth.
@@ -343,13 +331,13 @@ class SolverSession:
                 self._memo.put(key, warm)
                 return self._finish(warm)
 
-        solver = self._new_solver()
+        solver = self.spec.solver(metrics=self.metrics, cache=self.cache)
         solver.assertions = list(flattened)
         try:
             problem, hit = self.cache.get_or_compile(
                 flattened,
-                penalty_strength=self.penalty_strength,
-                seed=self.seed,
+                penalty_strength=self.spec.penalty_strength,
+                seed=self.spec.seed,
                 compile_fn=solver.compile,
             )
         except CompilationError as exc:
@@ -376,34 +364,20 @@ class SolverSession:
         """Weighted-MaxSMT optimization of the current frame-stack state.
 
         Minimizes the total violated soft weight subject to the hard
-        conjunction via :class:`repro.opt.AnytimeOptimizer`, configured
-        with this session's solver settings and ``opt_*`` budgets.
+        conjunction via the :class:`repro.opt.AnytimeOptimizer` this
+        session's spec builds (solver settings and ``opt_*`` budgets).
         Results are memoized per weighted state key (hard + soft), so a
         popped-and-re-pushed weighted state is answered without
         re-annealing — the same delta contract as :meth:`check_sat`.
         Returns an :class:`~repro.opt.result.OptimizeResult`.
         """
-        from repro.opt import AnytimeOptimizer
-
         self.stats.optimizes += 1
         key = self.opt_state_key()
         cached = self._opt_memo.get(key)
         if cached is not None:
             self.stats.opt_memo_hits += 1
             return cached
-        sampler = self.sampler_factory() if self.sampler_factory else None
-        optimizer = AnytimeOptimizer(
-            sampler=sampler,
-            num_reads=self.num_reads,
-            seed=self.seed,
-            sampler_params=self.sampler_params,
-            penalty_strength=self.penalty_strength,
-            max_restarts=self.opt_max_restarts,
-            deadline_ms=self.opt_deadline_ms,
-            exhaustive_bits=self.opt_exhaustive_bits,
-            metrics=self.metrics,
-        )
-        result = optimizer.optimize(
+        result = self.spec.optimizer(metrics=self.metrics).optimize(
             self.flattened(), self.flattened_soft(), **solve_params
         )
         self._opt_memo.put(key, result)

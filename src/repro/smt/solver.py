@@ -109,16 +109,11 @@ class QuantumSMTSolver:
         refine_max_rounds: int = 4,
         compile_cache: Optional[Any] = None,
     ) -> None:
+        from repro.service.spec import check_strategy  # spec imports this module
+
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if strategy not in ("direct", "refine"):
-            raise ValueError(
-                f"strategy must be 'direct' or 'refine', got {strategy!r}"
-            )
-        if refine_max_rounds < 0:
-            raise ValueError(
-                f"refine_max_rounds must be >= 0, got {refine_max_rounds}"
-            )
+        check_strategy(strategy, refine_max_rounds)
         self.metrics = metrics
         self.strategy = strategy
         self.refine_max_rounds = refine_max_rounds

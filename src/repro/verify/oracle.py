@@ -39,10 +39,12 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.service.cache import CompileCache
 from repro.service.metrics import MetricsRegistry
+from repro.service.policy import RetryPolicy
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.classical import ClassicalStringSolver
 from repro.smt.compiler import CompilationError
-from repro.smt.solver import QuantumSMTSolver, SmtResult
+from repro.smt.solver import SmtResult
 from repro.smt.status import SolveStatus
 from repro.smt.theory import TheoryError, eval_formula
 
@@ -110,7 +112,8 @@ class DifferentialOracle:
     ----------
     seed:
         Base seed for the quantum side; every :meth:`check` builds a fresh
-        :class:`~repro.smt.solver.QuantumSMTSolver` from it, so reports are
+        :class:`~repro.smt.solver.QuantumSMTSolver` from the oracle's
+        :class:`~repro.service.spec.SolveSpec`, so reports are
         deterministic at a fixed seed and independent of call order.
     num_reads, sampler_params, max_attempts, penalty_strength:
         Quantum-solver configuration.
@@ -150,27 +153,25 @@ class DifferentialOracle:
             raise ValueError(
                 f"reference must be 'classical' or 'dpllt', got {reference!r}"
             )
-        if strategy not in ("direct", "refine"):
-            raise ValueError(
-                f"strategy must be 'direct' or 'refine', got {strategy!r}"
-            )
+        self.spec = SolveSpec(
+            num_reads=num_reads,
+            seed=seed,
+            sampler_params=sampler_params,
+            penalty_strength=penalty_strength,
+            policy=RetryPolicy(max_attempts=max_attempts),
+            strategy=strategy,
+            refine_max_rounds=refine_max_rounds,
+        )
         if seed is not None and not isinstance(seed, int):
             raise TypeError(
                 f"oracle seeds must be int or None for reproducibility, "
                 f"got {type(seed)!r}"
             )
-        self.seed = seed
-        self.num_reads = num_reads
-        self.sampler_params = dict(sampler_params or {})
-        self.max_attempts = max_attempts
-        self.penalty_strength = penalty_strength
         self.reference = reference
         self.max_length = max_length
         self.node_budget = node_budget
         self.cache = cache
         self.metrics = metrics
-        self.strategy = strategy
-        self.refine_max_rounds = refine_max_rounds
 
     # ------------------------------------------------------------------ #
     # solver runs
@@ -182,25 +183,15 @@ class DifferentialOracle:
         return result
 
     def _quantum_solve_with_hit(self, assertions: Sequence[ast.Term]):
-        solver = QuantumSMTSolver(
-            seed=self.seed,
-            num_reads=self.num_reads,
-            sampler_params=self.sampler_params,
-            max_attempts=self.max_attempts,
-            penalty_strength=self.penalty_strength,
-            metrics=self.metrics,
-            strategy=self.strategy,
-            refine_max_rounds=self.refine_max_rounds,
-            compile_cache=self.cache if self.strategy == "refine" else None,
-        )
+        solver = self.spec.solver(metrics=self.metrics, cache=self.cache)
         solver.assertions = list(assertions)
         if self.cache is None:
             return solver.check_sat(), False
         try:
             problem, hit = self.cache.get_or_compile(
                 list(assertions),
-                penalty_strength=self.penalty_strength,
-                seed=self.seed,
+                penalty_strength=self.spec.penalty_strength,
+                seed=self.spec.seed,
                 compile_fn=solver.compile,
             )
         except CompilationError as exc:

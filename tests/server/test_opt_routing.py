@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.server.app import BackgroundServer
 from repro.server.client import SolverClient
 
-from .conftest import SAT_SCRIPT
+from .conftest import SAT_SCRIPT, fast_config
 
 pytestmark = [pytest.mark.server, pytest.mark.opt]
 
@@ -65,3 +66,20 @@ def test_opt_metrics_counted(server):
     metrics = client.metrics()
     counters = metrics.get("counters", {})
     assert counters.get("server.opt.optimal", 0) >= 1
+
+
+def _cache_counters(backend):
+    with BackgroundServer(fast_config(backend=backend, workers=1)) as handle:
+        client = SolverClient(handle.host, handle.port)
+        assert client.solve(SAT_SCRIPT).ok
+        assert client.solve(WEIGHTED_SCRIPT).envelope.opt_status == "optimal"
+        counters = client.metrics().get("counters", {})
+    return {k: v for k, v in counters.items() if k.startswith("cache.")}
+
+
+def test_backends_count_cache_traffic_alike():
+    # Only the plain solve consults the compile cache; the weighted
+    # request never does, on either backend.
+    thread = _cache_counters("thread")
+    assert thread == {"cache.misses": 1}
+    assert _cache_counters("process") == thread

@@ -190,7 +190,7 @@ class TestRetryPolicyIntegration:
     def test_policy_is_shared_with_item_solvers(self):
         policy = RetryPolicy(max_attempts=5)
         batch = make_batch(policy=policy)
-        assert batch._make_solver().retry_policy is policy
+        assert batch.spec.solver().retry_policy is policy
 
     def test_batch_item_result_repr(self):
         report = make_batch().solve_batch([UNIQUE_SCRIPTS[0]])

@@ -5,6 +5,7 @@ import pytest
 from repro.anneal.simulated import SimulatedAnnealingSampler
 from repro.service.batch import BatchSolver
 from repro.service.fused import solve_batch_fused
+from repro.service.spec import SolveSpec
 from repro.smt.parser import parse_script
 
 FAST = {"num_sweeps": 200}
@@ -91,7 +92,7 @@ class TestSolveBatchFused:
         sets = [parse_script(s).assertions for s in scripts(3)]
         sets.append(parse_script('(assert (= "a" "b"))(check-sat)').assertions)
         outcomes = solve_batch_fused(
-            sets, seed=2, num_reads=32, sampler_params=FAST
+            sets, SolveSpec(seed=2, num_reads=32, sampler_params=FAST)
         )
         assert [o.status for o in outcomes] == ["sat", "sat", "sat", "unsat"]
         assert [o.path for o in outcomes] == ["fused", "fused", "fused", "trivial"]
@@ -103,9 +104,7 @@ class TestSolveBatchFused:
         sets = [parse_script(s).assertions for s in scripts(2)]
         outcomes = solve_batch_fused(
             sets,
-            seed=2,
-            num_reads=1,
-            sampler_params={"num_sweeps": 1},
+            SolveSpec(seed=2, num_reads=1, sampler_params={"num_sweeps": 1}),
         )
         for outcome in outcomes:
             assert outcome.path in ("fused", "fallback")
@@ -117,7 +116,7 @@ class TestSolveBatchFused:
     def test_per_item_policies_length_checked(self):
         sets = [parse_script(s).assertions for s in scripts(2)]
         with pytest.raises(ValueError, match="policies"):
-            solve_batch_fused(sets, policies=[None])
+            solve_batch_fused(sets, SolveSpec(), policies=[None])
 
     def test_sampler_factory_used(self):
         calls = []
@@ -128,7 +127,55 @@ class TestSolveBatchFused:
 
         sets = [parse_script(s).assertions for s in scripts(2)]
         outcomes = solve_batch_fused(
-            sets, seed=4, num_reads=32, sampler_params=FAST, sampler_factory=factory
+            sets,
+            SolveSpec(
+                seed=4, num_reads=32, sampler_params=FAST, sampler_factory=factory
+            ),
         )
         assert [o.status for o in outcomes] == ["sat", "sat"]
         assert calls
+
+
+class _Boom(SimulatedAnnealingSampler):
+    """A sampler whose solo and tiled kernels both raise."""
+
+    def sample_model(self, model, **params):
+        raise RuntimeError("boom")
+
+    def sample_tiled(self, tiled, **params):
+        raise RuntimeError("boom")
+
+
+class TestKernelFailure:
+    ITEMS = scripts(3) + [
+        '(assert (= "a" "b"))(check-sat)',
+        "(declare-const x String)(assert (= (str.len x) 1))"
+        '(assert-soft (= x "a") :weight 1)(check-sat)',
+    ]
+
+    def run(self, executor):
+        return BatchSolver(
+            lambda: _Boom(),
+            seed=1,
+            num_reads=8,
+            sampler_params={"num_sweeps": 10},
+            executor=executor,
+        ).solve_batch(self.ITEMS)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "fused"])
+    def test_same_outcomes_on_every_executor(self, executor):
+        report = self.run(executor)
+        reference = self.run("serial")
+        assert report.statuses == reference.statuses
+        assert [i.error_type for i in report] == [i.error_type for i in reference]
+        assert report.statuses[:3] == ["unknown"] * 3
+        assert [i.error_type for i in report][:3] == ["RetryExhaustedError"] * 3
+        assert report.statuses[3] == "unsat"
+        assert report[4].opt_status == reference[4].opt_status
+
+    def test_failed_tile_items_count_as_fallbacks(self):
+        report = self.run("fused")
+        counters = report.metrics["counters"]
+        assert counters["fused.tiles"] == 1
+        assert counters["fused.fallbacks"] == 3
+        assert [item.path for item in report][:4] == ["fallback"] * 3 + ["trivial"]
