@@ -10,9 +10,13 @@ NumPy idioms from the HPC guides:
 * Local fields are maintained **incrementally** (rank-1 updates on accepted
   flips) instead of being recomputed, making a sweep ``O(R·n)`` for
   diagonal-dominated models and ``O(R·n·deg)`` in general.
-* An optional *graph-colored* sweep mode updates whole independent sets of
+* The default *graph-colored* sweep updates whole independent sets of
   variables in single vectorized steps — an exactness-preserving batching
-  strategy (no two simultaneously-updated variables interact).
+  strategy (no two simultaneously-updated variables interact). Solo and
+  tiled solves share this one kernel; a solo model is a single block.
+* The paper's per-variable random scan (``sweep_mode="random"``) stays
+  available as the reference setting: with ``num_sweeps=256`` it is the
+  configuration the paper's experiments ran.
 * Both kernels run against either the dense ``(n, n)`` coupling matrix or
   the CSR form (:class:`~repro.qubo.sparse.CsrMatrix`): the sparse path
   replaces each full-row rank-1 update with a row-slice update over the
@@ -38,7 +42,13 @@ from repro.qubo.model import QuboModel
 from repro.qubo.sparse import CsrMatrix, has_any_coupling, initial_local_fields
 from repro.utils.rng import SeedLike, ensure_rng
 
-__all__ = ["SimulatedAnnealingSampler"]
+__all__ = ["DEFAULT_NUM_SWEEPS", "SimulatedAnnealingSampler"]
+
+#: Default sweeps per anneal for both ``sample_model`` and
+#: ``sample_tiled``: the budget with the lowest time-to-solution (TTS99)
+#: on the benchmark inputs at unchanged per-read success (EXPERIMENTS.md
+#: §sweep-budget).
+DEFAULT_NUM_SWEEPS = 64
 
 #: Exponent clamp: exp(-700) underflows float64 to 0, so nothing is lost.
 _EXP_CLIP = 700.0
@@ -53,7 +63,7 @@ class SimulatedAnnealingSampler(Sampler):
         Number of independent anneals (default 32).
     num_sweeps:
         Sweeps per anneal; each sweep proposes one flip per variable
-        (default 256).
+        (default :data:`DEFAULT_NUM_SWEEPS`).
     beta_range:
         ``(beta_hot, beta_cold)``; default derived from the model's energy
         scales (see :func:`~repro.anneal.schedule.default_beta_range`).
@@ -61,8 +71,10 @@ class SimulatedAnnealingSampler(Sampler):
         ``"geometric"`` (default), ``"linear"``, or an explicit array of
         per-sweep betas (overrides *beta_range*/*num_sweeps*).
     sweep_mode:
-        ``"random"`` (default; fresh variable permutation per sweep),
-        ``"sequential"``, or ``"colored"`` (greedy-coloring batched updates).
+        ``"colored"`` (default; greedy-coloring batched updates),
+        ``"random"`` (fresh variable permutation per sweep — the paper's
+        scan; ``num_sweeps=256`` is its reference setting) or
+        ``"sequential"``.
     coupling_mode:
         ``"auto"`` (default), ``"dense"``, or ``"sparse"`` — forwarded to
         :meth:`~repro.qubo.model.QuboModel.sampler_form`. Auto picks the
@@ -79,7 +91,7 @@ class SimulatedAnnealingSampler(Sampler):
         "num_sweeps": "sweeps per anneal",
         "beta_range": "(hot, cold) inverse temperatures",
         "beta_schedule": "'geometric' | 'linear' | explicit array",
-        "sweep_mode": "'random' | 'sequential' | 'colored'",
+        "sweep_mode": "'colored' | 'random' | 'sequential'",
         "coupling_mode": "'auto' | 'dense' | 'sparse' matrix form",
         "initial_states": "optional (R, n) starting states",
         "seed": "RNG seed",
@@ -90,10 +102,10 @@ class SimulatedAnnealingSampler(Sampler):
         model: QuboModel,
         *,
         num_reads: int = 32,
-        num_sweeps: int = 256,
+        num_sweeps: int = DEFAULT_NUM_SWEEPS,
         beta_range: Optional[Tuple[float, float]] = None,
         beta_schedule: Union[str, Sequence[float], np.ndarray] = "geometric",
-        sweep_mode: str = "random",
+        sweep_mode: str = "colored",
         coupling_mode: str = "auto",
         initial_states: Optional[np.ndarray] = None,
         seed: SeedLike = None,
@@ -118,8 +130,11 @@ class SimulatedAnnealingSampler(Sampler):
         has_coupling = has_any_coupling(coupling)
 
         if sweep_mode == "colored":
-            classes = self._color_classes(model, rng)
-            self._anneal_colored(states, diag, coupling, betas, classes, rng, has_coupling)
+            # One block: every class is a single segment on the one stream.
+            merged = [(cls, ((0, 0, cls.size),)) for cls in model.color_classes()]
+            self._anneal_classes(
+                states, diag, coupling, [betas], merged, [rng], has_coupling
+            )
         elif sweep_mode in ("random", "sequential"):
             self._anneal_scan(
                 states, diag, coupling, betas, rng, has_coupling, sweep_mode == "random"
@@ -149,7 +164,7 @@ class SimulatedAnnealingSampler(Sampler):
         tiled: Any,
         *,
         num_reads: int = 32,
-        num_sweeps: int = 256,
+        num_sweeps: int = DEFAULT_NUM_SWEEPS,
         beta_range: Optional[Tuple[float, float]] = None,
         beta_schedule: Union[str, Sequence[float], np.ndarray] = "geometric",
         sweep_mode: str = "colored",
@@ -219,12 +234,10 @@ class SimulatedAnnealingSampler(Sampler):
 
         if nonempty:
             if sweep_mode == "colored":
-                classes = {
-                    k: self._color_classes(tiled.models[k], rngs[k]) for k in nonempty
-                }
+                classes = {k: tiled.models[k].color_classes() for k in nonempty}
                 merged = self._merge_classes(tiled, classes, nonempty)
                 diag, coupling = tiled.fused_sampler_form(mode)
-                self._anneal_tiled_colored(
+                self._anneal_classes(
                     states, diag, coupling, betas, merged, rngs,
                     has_any_coupling(coupling),
                 )
@@ -292,7 +305,7 @@ class SimulatedAnnealingSampler(Sampler):
         return merged
 
     @staticmethod
-    def _anneal_tiled_colored(
+    def _anneal_classes(
         states: np.ndarray,
         diag: np.ndarray,
         coupling: Union[np.ndarray, CsrMatrix],
@@ -301,16 +314,21 @@ class SimulatedAnnealingSampler(Sampler):
         rngs: Sequence[np.random.Generator],
         has_coupling: bool,
     ) -> None:
-        """Fused colored sweep over all blocks at once. Mutates *states*.
+        """The colored kernel: independent-set batched updates. Mutates *states*.
 
-        Mirrors :meth:`_anneal_colored` step for step; the only per-block
-        work left in the inner loop is the Metropolis draw on each
-        block's segment (its own stream, its own beta), ~6 small array
-        ops versus a full solo class iteration. Field updates go through
-        the fused coupling: the block-diagonal structure guarantees
-        cross-block contributions are structurally absent (CSR) or exact
-        zeros (dense), so per-block field values match the solo kernel
-        bit-for-bit on integer-coefficient models.
+        Within one color class no two variables interact, so flipping them
+        simultaneously is exactly equivalent to flipping them one at a
+        time. Each entry of *merged* is one class over the (possibly
+        fused) state matrix, split into ``(block, lo, hi)`` segments; the
+        only per-block work in the inner loop is the Metropolis draw on
+        each segment (its own stream, its own beta). A solo model is one
+        block with one segment per class. Field updates go through the
+        coupling as one rank-k update per class — a CSR row block sliced
+        once outside the sweep loop, ``O(R · nnz(class))``. In a fused
+        matrix the block-diagonal structure makes cross-block
+        contributions structurally absent (CSR) or exact zeros (dense), so
+        per-block results match a solo anneal bit-for-bit on
+        integer-coefficient models.
         """
         fields = initial_local_fields(states, coupling) if has_coupling else None
         sparse = isinstance(coupling, CsrMatrix)
@@ -401,59 +419,6 @@ class SimulatedAnnealingSampler(Sampler):
                     else:
                         fields[accept] += dx[accept, None] * coupling[i][None, :]
 
-    @staticmethod
-    def _anneal_colored(
-        states: np.ndarray,
-        diag: np.ndarray,
-        coupling: Union[np.ndarray, CsrMatrix],
-        betas: np.ndarray,
-        classes: Sequence[np.ndarray],
-        rng: np.random.Generator,
-        has_coupling: bool,
-    ) -> None:
-        """Independent-set batched updates. Mutates *states*.
-
-        Within one color class no two variables interact, so flipping them
-        simultaneously is exactly equivalent to flipping them one at a time.
-        The sparse branch performs the rank-k field update through a CSR
-        row block per color class (``O(R · nnz(class))`` instead of
-        ``O(R · |class| · n)``), with identical RNG consumption.
-        """
-        num_reads, n = states.shape
-        fields = initial_local_fields(states, coupling) if has_coupling else None
-        sparse = isinstance(coupling, CsrMatrix)
-        # One CSR row block per color class, sliced once outside the sweep
-        # loop (SciPy row indexing is not free).
-        blocks = (
-            [coupling.row_block(cls) for cls in classes]
-            if (sparse and has_coupling)
-            else None
-        )
-        for beta in betas:
-            for index, cls in enumerate(classes):
-                xc = states[:, cls]
-                dx = 1.0 - 2.0 * xc
-                local = diag[cls][None, :]
-                if has_coupling:
-                    local = local + fields[:, cls]
-                delta_e = dx * local
-                accept = delta_e <= 0.0
-                hot = ~accept
-                if hot.any():
-                    log_p = np.clip(-beta * delta_e[hot], -_EXP_CLIP, 0.0)
-                    accept[hot] = rng.random(int(hot.sum())) < np.exp(log_p)
-                if not accept.any():
-                    continue
-                flip = accept.astype(np.int8)
-                states[:, cls] ^= flip
-                if has_coupling:
-                    # Rank-k update: only accepted flips contribute.
-                    delta = dx * accept
-                    if sparse:
-                        fields += np.asarray(delta @ blocks[index])
-                    else:
-                        fields += delta @ coupling[cls, :]
-
     # ------------------------------------------------------------------ #
     # setup helpers
     # ------------------------------------------------------------------ #
@@ -483,17 +448,3 @@ class SimulatedAnnealingSampler(Sampler):
         if np.any(betas <= 0):
             raise ValueError("explicit beta schedule must be positive")
         return betas
-
-    @staticmethod
-    def _color_classes(model: QuboModel, rng: np.random.Generator) -> list:
-        """Greedy-color the interaction graph into independent sets."""
-        import networkx as nx
-
-        graph = model.interaction_graph()
-        coloring = nx.greedy_color(graph, strategy="largest_first")
-        num_colors = max(coloring.values(), default=-1) + 1
-        classes = [
-            np.array(sorted(v for v, c in coloring.items() if c == color), dtype=np.int64)
-            for color in range(num_colors)
-        ]
-        return [cls for cls in classes if cls.size]

@@ -69,7 +69,7 @@ class StringQuboSolver:
         (e.g. ``num_sweeps``).
     metrics:
         Optional :class:`~repro.service.metrics.MetricsRegistry`; when
-        given, ``embed`` (QUBO construction), ``anneal`` (sampling) and
+        given, ``build`` (QUBO construction), ``anneal`` (sampling) and
         ``decode`` (decode + verify) stage timings are recorded into it.
     """
 
@@ -104,7 +104,7 @@ class StringQuboSolver:
         params.setdefault("seed", int(self._rng.integers(0, 2**63 - 1)))
 
         with Timer() as timer:
-            with self._stage("embed"):
+            with self._stage("build"):
                 model = formulation.build_model()
             with self._stage("anneal"):
                 sampleset = self.sampler.sample_model(model, **params)
@@ -112,12 +112,6 @@ class StringQuboSolver:
 
         with self._stage("decode"):
             return result_from_sampleset(formulation, sampleset, wall_time=wall)
-
-    @staticmethod
-    def _success_rate(
-        formulation: StringFormulation, sampleset: SampleSet
-    ) -> float:
-        return _success_rate(formulation, sampleset)
 
 
 def result_from_sampleset(
@@ -131,43 +125,63 @@ def result_from_sampleset(
     batch engine (:mod:`repro.service.fused`), which produces sample sets
     through tiled solves rather than per-formulation ``sample_model``
     calls but reports results in the identical shape.
+
+    The reported read is the lowest-energy one whose decoding verifies —
+    a verifying read just above the lowest energy (a non-member sharing
+    the ground manifold of a linear class objective, say) is an answer,
+    not a miss. Rows are sorted by energy, so when no read verifies this
+    is ``first``. ``info["read_rank"]`` is the chosen row (0 = ``first``).
     """
-    best = sampleset.first
-    best_state = best.state(sampleset.variables)
-    output = formulation.decode(best_state)
-    ok = bool(formulation.verify(output))
+    if len(sampleset) == 0:
+        raise ValueError("sample set is empty")
+    reads = _verified_reads(formulation, sampleset)
+    rank = next((row for row, (_, ok) in enumerate(reads) if ok), 0)
+    output, ok = reads[rank]
     return SolveResult(
         formulation=formulation,
         sampleset=sampleset,
         output=output,
         ok=ok,
-        energy=best.energy,
+        energy=float(sampleset.energies[rank]),
         ground_energy=formulation.ground_energy(),
-        success_rate=_success_rate(formulation, sampleset),
+        success_rate=_success_rate(sampleset, reads),
         wall_time=wall_time,
-        info=dict(sampleset.info),
+        info={**sampleset.info, "read_rank": rank},
     )
 
 
-def _success_rate(formulation: StringFormulation, sampleset: SampleSet) -> float:
-    """Occurrence-weighted fraction of reads whose decoding verifies.
+def _verified_reads(formulation: StringFormulation, sampleset: SampleSet) -> list:
+    """``(output, verified)`` per row, in the sample set's energy order.
 
     Decodes straight off the ``(R, n)`` state matrix through the
     formulation's batched :meth:`~StringFormulation.decode_states`
     instead of materializing a per-row :class:`Sample` dict and
     re-decoding in a Python loop — the historical hot spot for large
-    read counts.
+    read counts. Reads that settle in the same state are decoded and
+    verified once: decoding is a function of the row and verification
+    of the output.
     """
-    if len(sampleset) == 0:
-        return 0.0
-    decoded = formulation.decode_states(sampleset.states)
-    weights = sampleset.num_occurrences
-    total = int(weights.sum())
+    states = sampleset.states
+    keys = [row.tobytes() for row in states]
+    first_row: Dict[bytes, int] = {}
+    for row, key in enumerate(keys):
+        first_row.setdefault(key, row)
+    outputs = formulation.decode_states(states[list(first_row.values())])
+    verdicts = {
+        key: (output, bool(formulation.verify(output)))
+        for key, output in zip(first_row, outputs)
+    }
+    return [verdicts[key] for key in keys]
+
+
+def _success_rate(sampleset: SampleSet, reads: list) -> float:
+    """Occurrence-weighted fraction of reads whose decoding verifies."""
+    total = int(sampleset.num_occurrences.sum())
     if not total:
         return 0.0
     good = sum(
         int(weight)
-        for output, weight in zip(decoded, weights)
-        if formulation.verify(output)
+        for (_, ok), weight in zip(reads, sampleset.num_occurrences)
+        if ok
     )
     return good / total

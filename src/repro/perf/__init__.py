@@ -12,7 +12,7 @@ literature (fixed instance distributions, repeatable seeds):
   deterministic result fingerprint (same instances, same energies on
   every run; only timings differ);
 * :mod:`~repro.perf.runner` — warmup/repeat control with per-stage
-  compile/embed/anneal/decode attribution via
+  compile/build/anneal/decode attribution via
   :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.since`;
 * :mod:`~repro.perf.stats` — median / MAD / bootstrap-CI statistics and
   the three-gate significance decision;

@@ -136,7 +136,7 @@ def _run_suites(args: argparse.Namespace) -> Dict[str, List[BenchmarkResult]]:
 
 
 def _results_table(results: List[BenchmarkResult]) -> str:
-    header = ["benchmark", "median", "mad", "ci95", "stages (median s)"]
+    header = ["benchmark", "median", "mad", "ci95", "tts99", "stages (median s)"]
     table = [header]
     for result in results:
         summary = result.wall_summary()
@@ -144,11 +144,13 @@ def _results_table(results: List[BenchmarkResult]) -> str:
             f"{name}={value:.4f}"
             for name, value in result.stage_medians().items()
         )
+        tts = result.tts99_s() if result.has_success_rate else None
         table.append([
             result.name,
             f"{summary['median']:.4f}s",
             f"{summary['mad']:.4f}s",
             f"[{summary['ci_low']:.4f}, {summary['ci_high']:.4f}]",
+            "-" if tts is None else f"{tts:.4f}s",
             stage or "-",
         ])
     widths = [max(len(line[i]) for line in table) for i in range(len(header))]

@@ -43,7 +43,7 @@ __all__ = [
     "compare_results",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Failure statuses (everything else is informational).
 _FAILING = ("regression", "workload-drift")

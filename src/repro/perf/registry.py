@@ -11,7 +11,7 @@ across machines and PRs.
 Suites map 1:1 onto the committed baseline files:
 
 * ``core``    → ``BENCH_core.json``    — end-to-end SMT solves
-  (compile → embed → anneal → decode) over the paper's §4.1–§4.12
+  (compile → build → anneal → decode) over the paper's §4.1–§4.12
   operator families, via :class:`~repro.smt.solver.QuantumSMTSolver` and
   :class:`~repro.core.solver.StringQuboSolver`;
 * ``sparse``  → ``BENCH_sparse.json``  — the raw annealing kernels

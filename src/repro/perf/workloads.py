@@ -7,7 +7,7 @@ apart:
   models, prime caches;
 * **one timed repeat** (:meth:`Workload.run`) — executes the pipeline
   under a caller-supplied :class:`~repro.service.metrics.MetricsRegistry`
-  so per-stage (compile/embed/anneal/decode) attribution rides along;
+  so per-stage (compile/build/anneal/decode) attribution rides along;
 * **the deterministic fingerprint** — ``run`` returns a JSON-serializable
   dict of *workload results* (statuses, models, outputs, rounded
   energies, state digests) that must be identical across repeats,
@@ -25,7 +25,8 @@ from repro.perf.registry import BenchmarkSpec
 from repro.service.metrics import MetricsRegistry
 
 __all__ = [
-    "Workload", "build_workload", "closest_string_script", "round_trip_digest",
+    "Workload", "build_workload", "closest_string_script", "make_formulation",
+    "round_trip_digest",
 ]
 
 #: Decimal places kept when embedding float energies in fingerprints —
@@ -136,7 +137,8 @@ def _build_smt(spec: BenchmarkSpec) -> Workload:
     return Workload(spec, run, metadata)
 
 
-def _make_formulation(p: Dict[str, Any]):
+def make_formulation(p: Dict[str, Any]):
+    """The formulation named by a ``solve`` spec's params."""
     from repro.core import PalindromeGeneration, RegexMatching, StringEquality
 
     kind = p["formulation"]
@@ -153,7 +155,7 @@ def _build_solve(spec: BenchmarkSpec) -> Workload:
     from repro.core.solver import StringQuboSolver
 
     p = dict(spec.params)
-    formulation = _make_formulation(p)
+    formulation = make_formulation(p)
     metadata = _model_metadata(formulation.build_model())
 
     def run(metrics: MetricsRegistry) -> Dict[str, Any]:

@@ -19,6 +19,9 @@ Design notes
   (every §4 string QUBO at useful lengths) and the dense path otherwise;
   the two paths are bit-identical at a fixed seed for integer-coefficient
   models (see :mod:`repro.qubo.sparse`).
+* ``color_classes()`` caches the independent sets the colored anneal
+  kernel flips together, so retries, restarts and compile-cache hits
+  colour each model once.
 * ``set_`` methods overwrite and ``add_`` methods accumulate. The paper's
   substring-matching formulation (§4.3) depends on the *overwrite* semantics:
   later encodings replace earlier ones.
@@ -29,7 +32,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -72,6 +75,7 @@ class QuboModel:
         "_dense_cache",
         "_sparse_cache",
         "_density_cache",
+        "_color_cache",
     )
 
     def __init__(
@@ -88,6 +92,7 @@ class QuboModel:
         self._dense_cache: Optional[np.ndarray] = None
         self._sparse_cache: Optional[Tuple[np.ndarray, CsrMatrix]] = None
         self._density_cache: Optional[float] = None
+        self._color_cache: Optional[Tuple[np.ndarray, ...]] = None
         if coefficients:
             for (i, j), value in to_upper_triangular(coefficients).items():
                 self._check_index(i)
@@ -143,6 +148,7 @@ class QuboModel:
         self._dense_cache = None
         self._sparse_cache = None
         self._density_cache = None
+        self._color_cache = None
 
     # ------------------------------------------------------------------ #
     # pickling — ship coefficients, never cached matrices
@@ -155,9 +161,7 @@ class QuboModel:
         self._n = state["n"]
         self._coeffs = state["coeffs"]
         self._offset = state["offset"]
-        self._dense_cache = None
-        self._sparse_cache = None
-        self._density_cache = None
+        self._invalidate()
 
     # ------------------------------------------------------------------ #
     # coefficient access
@@ -322,6 +326,20 @@ class QuboModel:
             return qubo_energies_csr(states, diag, coupling, self._offset)
         return qubo_energies(states, self.to_dense(), self._offset)
 
+    def color_classes(self) -> Tuple[np.ndarray, ...]:
+        """Independent sets of the coupling graph (cached, read-only).
+
+        Greedy colouring in largest-degree-first order — exactly
+        ``networkx.greedy_color(self.interaction_graph(),
+        strategy="largest_first")`` — returned as one sorted ``int64``
+        index array per colour, colour 0 first. No two variables of one
+        class share a nonzero coupling, which is what lets the colored
+        anneal kernel flip a whole class in one vectorized step.
+        """
+        if self._color_cache is None:
+            self._color_cache = _greedy_color_classes(self._coeffs, self._n)
+        return self._color_cache
+
     def interaction_graph(self):
         """The coupling graph as a :class:`networkx.Graph` (nodes 0..n-1)."""
         import networkx as nx
@@ -337,3 +355,34 @@ class QuboModel:
         """Largest absolute coefficient (0.0 for the empty model)."""
         values = [abs(v) for v in self._coeffs.values()]
         return max(values) if values else 0.0
+
+
+def _greedy_color_classes(
+    coeffs: Mapping[Tuple[int, int], float], n: int
+) -> Tuple[np.ndarray, ...]:
+    """Largest-degree-first greedy colouring, grouped into index arrays.
+
+    Nodes are visited by degree, highest first, ties in index order (a
+    stable sort, as networkx's ``largest_first`` strategy); each takes the
+    smallest colour no already-coloured neighbour holds.
+    """
+    neighbours: List[Set[int]] = [set() for _ in range(n)]
+    for (i, j), value in coeffs.items():
+        if i != j and value != 0.0:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    colors = [-1] * n
+    for u in sorted(range(n), key=lambda v: len(neighbours[v]), reverse=True):
+        used = {colors[v] for v in neighbours[u]}
+        color = 0
+        while color in used:
+            color += 1
+        colors[u] = color
+    by_node = np.array(colors, dtype=np.int64)
+    classes = tuple(
+        np.flatnonzero(by_node == color).astype(np.int64)
+        for color in range(max(colors, default=-1) + 1)
+    )
+    for cls in classes:
+        cls.setflags(write=False)
+    return classes

@@ -10,7 +10,7 @@ pipeline:
   policy shared by every sampler path;
 * :mod:`~repro.service.metrics` — thread-safe counters and timing
   histograms with a JSON export, threaded through
-  compile → embed → anneal → decode;
+  compile → build → anneal → decode;
 * :mod:`~repro.service.batch` — :class:`BatchSolver`, solving many
   SMT-LIB scripts / constraint sets concurrently over a worker pool.
 

@@ -141,7 +141,7 @@ def solve_batch_fused(
 
     # ---- phase 2: tile the pending QUBOs and solve fused ---- #
     entries = []  # (item, variable, model)
-    with metrics.time("embed"):
+    with metrics.time("build"):
         for item in items:
             if item.outcome is not None:
                 continue

@@ -188,7 +188,7 @@ class MetricsRegistry:
         [new samples...]}}`` with zero-delta counters and unchanged
         histograms omitted — the per-stage attribution consumed by
         :mod:`repro.perf` to split one benchmark repeat into
-        compile / embed / anneal / decode seconds.
+        compile / build / anneal / decode seconds.
         """
         with self._lock:
             counter_deltas = {}

@@ -447,7 +447,7 @@ class RefinementEngine:
         params.setdefault("seed", int(self._rng.integers(0, 2**63 - 1)))
 
         with Timer() as timer:
-            with self._stage("embed"):
+            with self._stage("build"):
                 model = formulation.build_model()
                 full_width = model.num_variables
                 clamps = {i: b for i, b in clamps.items() if i < full_width}

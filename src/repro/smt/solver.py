@@ -62,11 +62,17 @@ class QuantumSMTSolver:
     Parameters
     ----------
     sampler:
-        Any :class:`~repro.anneal.base.Sampler`; default simulated
-        annealing (the paper's configuration).
+        Any :class:`~repro.anneal.base.Sampler`; default
+        :class:`~repro.anneal.simulated.SimulatedAnnealingSampler`, the
+        paper's single-flip Metropolis annealer, run with its exact
+        graph-colored sweep at
+        :data:`~repro.anneal.simulated.DEFAULT_NUM_SWEEPS` sweeps. Pass
+        ``sampler_params={"sweep_mode": "random", "num_sweeps": 256}``
+        for the paper's per-variable scan (the reference setting).
     num_reads, sampler_params, seed:
         Forwarded to the underlying
-        :class:`~repro.core.solver.StringQuboSolver`.
+        :class:`~repro.core.solver.StringQuboSolver` (64 reads per
+        attempt by default).
     max_attempts:
         Restarts per variable when verification fails (annealing is
         stochastic; retrying with fresh seeds recovers most misses).

@@ -12,7 +12,7 @@ performance-regression harness (:mod:`repro.perf`):
   primitive behind both :meth:`Stopwatch.time` and
   :meth:`repro.service.metrics.MetricsRegistry.time`;
 * :class:`Stopwatch` — named segment accumulation for splitting a solve
-  into compile / embed / anneal / decode phases.
+  into compile / build / anneal / decode phases.
 
 Keep clock access here: duplicated ad-hoc ``perf_counter`` arithmetic is
 exactly what the perf harness exists to retire.

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.anneal.exact import ExactSolver
-from repro.anneal.simulated import SimulatedAnnealingSampler
+from repro.anneal.simulated import DEFAULT_NUM_SWEEPS, SimulatedAnnealingSampler
+from repro.core import PalindromeGeneration
 from repro.qubo.model import QuboModel
+from repro.qubo.tile import tile_models
 
 
 def _random_model(seed, n=10):
@@ -152,3 +156,48 @@ class TestQuality:
             m, num_reads=16, num_sweeps=300, seed=1, sweep_mode="colored"
         )
         assert colored.first.energy == pytest.approx(ground, abs=1e-9)
+
+
+def _digest(sampleset):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(sampleset.states).tobytes())
+    h.update(np.ascontiguousarray(sampleset.energies).tobytes())
+    return h.hexdigest()
+
+
+class TestDefaults:
+    def test_sample_model_defaults_to_colored_budget(self):
+        ss = SimulatedAnnealingSampler().sample_model(_random_model(4), seed=0)
+        assert ss.info["sweep_mode"] == "colored"
+        assert ss.info["num_sweeps"] == DEFAULT_NUM_SWEEPS
+
+    def test_sample_tiled_defaults_to_colored_budget(self):
+        tiled = tile_models([_random_model(5), _random_model(6, n=4)])
+        for ss in SimulatedAnnealingSampler().sample_tiled(tiled, seed=0):
+            assert ss.info["sweep_mode"] == "colored"
+            assert ss.info["num_sweeps"] == DEFAULT_NUM_SWEEPS
+
+    def test_paper_reference_setting_is_pinned(self):
+        # The paper's configuration — random scan, 256 sweeps — on a §4
+        # model in the CSR regime. The digest was recorded before the
+        # colored kernel became the default; it must never move.
+        model = PalindromeGeneration(12).build_model()
+        ss = SimulatedAnnealingSampler().sample_model(
+            model, sweep_mode="random", num_sweeps=256, seed=0
+        )
+        assert ss.info["coupling_form"] == "sparse"
+        assert _digest(ss) == (
+            "30954d82a25915b3e8fbf0946233a068eba9397d98ed6c4df7b159886e69b5cc"
+        )
+
+    def test_explicit_colored_is_unchanged(self):
+        # Solo colored solves run the fused kernel with one segment per
+        # class; the RNG draws and their order are those of the former
+        # solo kernel (digest recorded before the kernels were merged).
+        model = PalindromeGeneration(12).build_model()
+        ss = SimulatedAnnealingSampler().sample_model(
+            model, sweep_mode="colored", num_sweeps=64, seed=0
+        )
+        assert _digest(ss) == (
+            "92daf94e214e3fb2a6ade17402b8562fae0df6afabc22db523b95ed90ce315bb"
+        )

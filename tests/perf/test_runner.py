@@ -4,6 +4,8 @@ Uses tiny unregistered specs (short strings, few reads) so the tier-1
 suite stays fast while still exercising the real pipeline end to end.
 """
 
+import math
+
 import pytest
 
 from repro.perf.registry import BenchmarkSpec
@@ -13,6 +15,7 @@ from repro.perf.runner import (
     WorkloadDeterminismError,
     run_spec,
     run_suite,
+    time_to_solution,
 )
 from repro.perf.workloads import Workload, build_workload
 from repro.service.metrics import MetricsRegistry
@@ -148,3 +151,66 @@ class TestWorkloadBuild:
         counters = metrics.export()["counters"]
         assert counters.get("cache.hits") == 4
         assert "cache.misses" not in counters
+
+
+class TestTimeToSolution:
+    def test_formula(self):
+        # 0.64 s per call of 64 reads, half of them succeed: 0.01 s per
+        # read times ln(0.01) / ln(0.5) ≈ 6.64 reads.
+        assert time_to_solution(0.64, 64, 0.5) == pytest.approx(
+            0.01 * math.log(0.01) / math.log(0.5)
+        )
+
+    def test_one_read_suffices_at_high_success(self):
+        assert time_to_solution(0.64, 64, 0.99) == pytest.approx(0.01)
+        assert time_to_solution(0.64, 64, 1.0) == pytest.approx(0.01)
+
+    def test_never_succeeds(self):
+        assert time_to_solution(0.64, 64, 0.0) is None
+
+
+def _result(stage_times, workload, params):
+    return BenchmarkResult(
+        name="r", suite="core", kind="solve", tolerance=0.5, repeats=3,
+        warmup=0, wall_times=[0.2, 0.1, 0.3], stage_times=stage_times,
+        counters={}, workload=workload, metadata={}, params=params,
+    )
+
+
+class TestHonestSchema:
+    def test_values_kept_apart_from_stage_seconds(self):
+        result = _result(
+            {"anneal": [0.1, 0.2, 0.3], "opt.objective": [2.0, 2.0, 3.0],
+             "refine.qubo_variables": [27.0, 27.0, 27.0],
+             "batch.wall": [0.4, 0.5, 0.6]},
+            workload={}, params={},
+        )
+        doc = result.to_dict()
+        # Only the pipeline stages count as stage seconds; a whole-call
+        # wall overlaps them and goes with the other histograms.
+        assert doc["stage_median"] == {"anneal": 0.2}
+        assert doc["values"] == {
+            "batch.wall": 0.5, "opt.objective": 2.0, "refine.qubo_variables": 27.0,
+        }
+        assert "tts99_s" not in doc["wall"]
+
+    def test_tts99_reported_with_a_success_rate(self):
+        result = _result(
+            {"anneal": [0.1]}, workload={"success_rate": 0.5},
+            params={"num_reads": 10},
+        )
+        expected = 0.02 * math.log(0.01) / math.log(0.5)
+        assert result.tts99_s() == pytest.approx(expected)
+        assert result.to_dict()["wall"]["tts99_s"] == round(expected, 6)
+
+    def test_tts99_null_without_successes(self):
+        result = _result(
+            {}, workload={"success_rate": 0.0}, params={"num_reads": 10}
+        )
+        assert result.to_dict()["wall"]["tts99_s"] is None
+
+    def test_solve_spec_reports_build_stage(self):
+        result = run_spec(_tiny_solve_spec(), repeats=1, warmup=0)
+        assert "build" in result.stage_medians()
+        assert "embed" not in result.stage_medians()
+        assert result.to_dict()["wall"]["tts99_s"] > 0

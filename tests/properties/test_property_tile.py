@@ -52,9 +52,9 @@ def assert_tile_matches_solo(sampler, models, seed, **params):
         np.testing.assert_array_equal(fused[k].energies, solo.energies)
 
 
-# sweep_mode must be pinned: sample_model defaults to "random" while
-# sample_tiled defaults to "colored" (the mode where fusion batches
-# across block boundaries); equivalence holds per sweep mode.
+# Both entry points default to "colored" (the mode where fusion batches
+# across block boundaries); every sweep mode is drawn explicitly, since
+# equivalence holds per sweep mode.
 @settings(max_examples=25, deadline=None)
 @given(
     models=model_lists,

@@ -112,7 +112,7 @@ class TestWarmCacheAcceptance:
 
         # Metrics export: per-stage timings + cache hit rate.
         export = report.metrics
-        for stage in ("compile", "embed", "anneal", "decode"):
+        for stage in ("compile", "build", "anneal", "decode"):
             assert stage in export["histograms"], stage
             assert export["histograms"][stage]["count"] >= 1
         assert export["histograms"]["compile"]["count"] == 5  # misses only

@@ -26,11 +26,11 @@ class TestStringQuboSolverStages:
         result = solver.solve(StringReversal("hello"))
         assert result.output == "olleh"
         export = metrics.export()
-        for stage in ("embed", "anneal", "decode"):
+        for stage in ("build", "anneal", "decode"):
             assert export["histograms"][stage]["count"] == 1
-        # Stage times nest inside the reported wall time (embed + anneal).
+        # Stage times nest inside the reported wall time (build + anneal).
         stage_sum = (
-            export["histograms"]["embed"]["total"]
+            export["histograms"]["build"]["total"]
             + export["histograms"]["anneal"]["total"]
         )
         assert stage_sum <= result.wall_time + 0.05
