@@ -78,8 +78,8 @@ def _time_mode(model, mode: str, reads: int, sweeps: int, seed: int):
     )
 
 
-def measure(length: int, reads: int = READS, sweeps: int = SWEEPS,
-            seed: int = SEED) -> SparseBenchRow:
+def compare_length(length: int, reads: int = READS, sweeps: int = SWEEPS,
+                   seed: int = SEED) -> SparseBenchRow:
     """Compare the dense and sparse kernels on one palindrome model."""
     model = PalindromeGeneration(length).build_model()
     stats = sparse_stats(model.to_dict(), model.num_variables)
@@ -135,7 +135,7 @@ def test_sparse_vs_dense_table(benchmark):
     from benchmarks.common import bench_once, emit_table
 
     def _run():
-        rows = [measure(length) for length in LENGTHS]
+        rows = [compare_length(length) for length in LENGTHS]
         emit_table(
             "Sparse CSR vs dense kernels — palindrome generation "
             f"({READS} reads, {SWEEPS} sweeps)",
@@ -182,7 +182,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     reads = SMOKE_READS if args.smoke else READS
     sweeps = SMOKE_SWEEPS if args.smoke else SWEEPS
 
-    rows = [measure(n, reads=reads, sweeps=sweeps, seed=args.seed)
+    rows = [compare_length(n, reads=reads, sweeps=sweeps, seed=args.seed)
             for n in lengths]
 
     widths = [max(len(h), *(len(r[i]) for r in _format_rows(rows)))

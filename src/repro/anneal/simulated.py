@@ -14,6 +14,10 @@ NumPy idioms from the HPC guides:
   variables in single vectorized steps — an exactness-preserving batching
   strategy (no two simultaneously-updated variables interact). Solo and
   tiled solves share this one kernel; a solo model is a single block.
+  It holds its columns in colour order, so each class is a contiguous
+  slice, builds each class's field-update operator once per anneal, and
+  on models without couplings replaces the per-step energy arithmetic
+  with a precomputed ``(sweep, column)`` acceptance table.
 * The paper's per-variable random scan (``sweep_mode="random"``) stays
   available as the reference setting: with ``num_sweeps=256`` it is the
   configuration the paper's experiments ran.
@@ -50,7 +54,9 @@ __all__ = ["DEFAULT_NUM_SWEEPS", "SimulatedAnnealingSampler"]
 #: §sweep-budget).
 DEFAULT_NUM_SWEEPS = 64
 
-#: Exponent clamp: exp(-700) underflows float64 to 0, so nothing is lost.
+#: Exponent clamp: below it the acceptance probability is negligible, and
+#: exp(-700) is still positive, which the colored kernel's acceptance
+#: table relies on.
 _EXP_CLIP = 700.0
 
 
@@ -322,49 +328,113 @@ class SimulatedAnnealingSampler(Sampler):
         fused) state matrix, split into ``(block, lo, hi)`` segments; the
         only per-block work in the inner loop is the Metropolis draw on
         each segment (its own stream, its own beta). A solo model is one
-        block with one segment per class. Field updates go through the
-        coupling as one rank-k update per class — a CSR row block sliced
-        once outside the sweep loop, ``O(R · nnz(class))``. In a fused
-        matrix the block-diagonal structure makes cross-block
-        contributions structurally absent (CSR) or exact zeros (dense), so
-        per-block results match a solo anneal bit-for-bit on
-        integer-coefficient models.
+        block with one segment per class.
+
+        The anneal runs in a **colour-contiguous** column order: ``perm``
+        concatenates the classes (each keeping its own column order), so
+        class *c* covers the contiguous range ``[a_c, b_c)`` and every
+        per-step read or write of the state, the diagonal and the fields
+        is a slice, not a gather. The state is written back through
+        ``perm`` once at the end.
+
+        * **Coupled models.** The field update is one rank-k product per
+          class through an operator built once per anneal: the class's
+          row block of ``W[perm][:, perm]``, held as a contiguous dense
+          block or as a pre-transposed CSR applied as ``(op @ delta.T).T``
+          (the product SciPy's ``delta @ block`` computes, minus the
+          per-call transpose), ``O(R · nnz(class))``. In a fused matrix
+          the block-diagonal structure makes cross-block contributions
+          structurally absent (CSR) or exact zeros (dense), so per-block
+          results match a solo anneal bit-for-bit on integer-coefficient
+          models.
+        * **Uncoupled models** (no nonzero coupling). ``ΔE = ±d_j``: a
+          read is *hot* (needs a draw) exactly when ``x_j`` sits on the
+          lower-energy side of ``d_j``, and its acceptance probability
+          depends only on the sweep and the column. One table
+          ``P[t, j] = exp(clip(-β_t |d_j|, -700, 0))``, each column on its
+          own block's schedule, replaces the per-step energy arithmetic:
+          the draws for the hot reads are scattered into a zeroed buffer
+          and ``buffer < P[t]`` is the flip mask (every ``P > 0``, so a
+          read that is not hot always flips, as ``ΔE <= 0`` requires).
+
+        Both branches draw the same uniforms in the same order and compare
+        them against the same float64 values as a per-class gather would,
+        so results are bit-identical to it.
         """
-        fields = initial_local_fields(states, coupling) if has_coupling else None
-        sparse = isinstance(coupling, CsrMatrix)
-        blocks = (
-            [coupling.row_block(cols) for cols, _ in merged]
-            if (sparse and has_coupling)
-            else None
-        )
+        perm = np.concatenate([cols for cols, _ in merged])
+        ends = np.cumsum([cols.size for cols, _ in merged]).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        x = states[:, perm]
+        d = diag[perm]
         num_sweeps = next(b.shape[0] for b in betas if b is not None)
+
+        if not has_coupling:
+            # The value of x_j at which a flip costs energy; 2 (never
+            # matched) where d_j == 0, since those flips always accept.
+            pref = np.where(d > 0, 0, np.where(d < 0, 1, 2)).astype(np.int8)
+            table = np.empty((num_sweeps, perm.size))
+            for (_, segments), (a, _) in zip(merged, spans):
+                for k, lo, hi in segments:
+                    cols = slice(a + lo, a + hi)
+                    table[:, cols] = np.outer(-betas[k], np.abs(d[cols]))
+            np.exp(np.clip(table, -_EXP_CLIP, 0.0, out=table), out=table)
+            for t in range(num_sweeps):
+                for (_, segments), (a, b) in zip(merged, spans):
+                    xc = x[:, a:b]
+                    hot = xc == pref[a:b]
+                    draws = np.zeros(hot.shape)
+                    for k, lo, hi in segments:
+                        seg = hot[:, lo:hi]
+                        count = np.count_nonzero(seg)
+                        if count:
+                            draws[:, lo:hi][seg] = rngs[k].random(count)
+                    xc ^= draws < table[t, a:b]
+            states[:, perm] = x
+            return
+
+        fields = initial_local_fields(states, coupling)[:, perm]
+        sparse = isinstance(coupling, CsrMatrix)
+        if sparse:
+            import scipy.sparse as sp
+
+            w = sp.csr_array(
+                (coupling.data, coupling.indices, coupling.indptr), shape=coupling.shape
+            )[perm][:, perm]
+            # CSC -> CSR sorts each row's indices, so every field sums its
+            # class terms in the order ``delta @ block`` did. The products
+            # come out transposed: column-major fields make the update a
+            # contiguous add.
+            ops = [sp.csr_array(w[a:b].T) for a, b in spans]
+            fields = np.asfortranarray(fields)
+        else:
+            w = coupling[np.ix_(perm, perm)]
+            ops = [w[a:b] for a, b in spans]
         for t in range(num_sweeps):
-            for index, (cols, segments) in enumerate(merged):
-                xc = states[:, cols]
+            for (_, segments), (a, b), op in zip(merged, spans, ops):
+                xc = x[:, a:b]
                 dx = 1.0 - 2.0 * xc
-                local = diag[cols][None, :]
-                if has_coupling:
-                    local = local + fields[:, cols]
-                delta_e = dx * local
+                delta_e = dx * (d[a:b] + fields[:, a:b])
                 accept = delta_e <= 0.0
                 for k, lo, hi in segments:
                     seg = accept[:, lo:hi]
                     hot = ~seg
-                    if hot.any():
-                        log_p = np.clip(
-                            -betas[k][t] * delta_e[:, lo:hi][hot], -_EXP_CLIP, 0.0
-                        )
-                        seg[hot] = rngs[k].random(int(hot.sum())) < np.exp(log_p)
+                    count = np.count_nonzero(hot)
+                    if count:
+                        # No upper clamp: a hot read has ΔE > 0 and every β
+                        # is positive, so -β·ΔE is already below 0.
+                        p = delta_e[:, lo:hi][hot]
+                        p *= -betas[k][t]
+                        np.exp(np.maximum(p, -_EXP_CLIP, out=p), out=p)
+                        seg[hot] = rngs[k].random(count) < p
                 if not accept.any():
                     continue
-                flip = accept.astype(np.int8)
-                states[:, cols] ^= flip
-                if has_coupling:
-                    delta = dx * accept
-                    if sparse:
-                        fields += np.asarray(delta @ blocks[index])
-                    else:
-                        fields += delta @ coupling[cols, :]
+                xc ^= accept
+                delta = dx * accept
+                if sparse:
+                    fields += (op @ delta.T).T
+                else:
+                    fields += delta @ op
+        states[:, perm] = x
 
     @staticmethod
     def _anneal_scan(

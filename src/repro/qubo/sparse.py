@@ -31,7 +31,7 @@ associativity (≤ 1e-9 in practice; see the property tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -75,8 +75,8 @@ class CsrMatrix:
     slice — and are frozen (``writeable=False``) because the matrix is
     shared through the model's sampler-form cache.
 
-    A SciPy view is built lazily for matrix products and row-block slicing
-    and is **not** pickled: worker payloads ship only the triplet.
+    A SciPy view is built lazily for matrix products and is **not**
+    pickled: worker payloads ship only the triplet.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape", "_scipy_cache")
@@ -166,10 +166,6 @@ class CsrMatrix:
     def rows(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """All ``(columns, values)`` row views, precomputed for sweep loops."""
         return [self.row(i) for i in range(self.shape[0])]
-
-    def row_block(self, rows: Union[Sequence[int], np.ndarray]):
-        """SciPy CSR submatrix of the given rows (colored batched updates)."""
-        return self._as_scipy()[np.asarray(rows, dtype=np.int64), :]
 
     # -------------------------------------------------------------- #
     # numeric kernels

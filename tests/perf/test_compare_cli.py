@@ -161,9 +161,25 @@ class TestBaselineFiles:
 _SMOKE_SPEC = "equality-n16"
 
 
+#: The wall time every CLI smoke repeat reports (seconds).
+_FIXED_WALL = 0.1
+
+
 @pytest.mark.slow
 class TestCliSmoke:
-    """update → compare on a real registered workload (one tiny spec)."""
+    """update → compare on a real registered workload (one tiny spec).
+
+    The workload really runs, but every repeat reports the same fixed
+    duration, so the verdicts depend on the gate logic and the stored
+    baseline, never on how busy the machine is.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _fixed_wall_times(self, monkeypatch):
+        def measure(fn, *args, **kwargs):
+            return _FIXED_WALL, fn(*args, **kwargs)
+
+        monkeypatch.setattr("repro.perf.runner.measure", measure)
 
     def _update(self, bench_dir):
         return main([
