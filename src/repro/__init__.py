@@ -17,84 +17,52 @@ See ``examples/quickstart.py`` for the guided tour and DESIGN.md for the
 system inventory.
 """
 
-from repro.core import (
-    ConstraintPipeline,
-    PalindromeGeneration,
-    PipelineResult,
-    PipelineStage,
-    RegexMatching,
-    SolveResult,
-    StringConcatenation,
-    StringEquality,
-    StringIncludes,
-    StringLength,
-    StringCharAt,
-    StringNotEquals,
-    StringPrefixOf,
-    StringQuboSolver,
-    StringReplace,
-    StringReplaceAll,
-    StringReversal,
-    StringSubstr,
-    StringSuffixOf,
-    SubstringIndexOf,
-    SubstringMatching,
-)
-from repro.anneal import (
-    ExactSolver,
-    PathIntegralAnnealer,
-    SampleSet,
-    SimulatedAnnealingSampler,
-)
-from repro.hardware import EmbeddingComposite, SimulatedQPU
-from repro.qubo import BinaryQuadraticModel, QuboModel
-from repro.smt import ClassicalStringSolver, QuantumSMTSolver
-from repro.service import (
-    BatchSolver,
-    CompileCache,
-    MetricsRegistry,
-    RetryExhaustedError,
-    RetryPolicy,
-)
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BatchSolver",
-    "BinaryQuadraticModel",
-    "ClassicalStringSolver",
-    "CompileCache",
-    "ConstraintPipeline",
-    "MetricsRegistry",
-    "RetryExhaustedError",
-    "RetryPolicy",
-    "EmbeddingComposite",
-    "ExactSolver",
-    "PalindromeGeneration",
-    "PathIntegralAnnealer",
-    "PipelineResult",
-    "PipelineStage",
-    "QuantumSMTSolver",
-    "QuboModel",
-    "RegexMatching",
-    "SampleSet",
-    "SimulatedAnnealingSampler",
-    "SimulatedQPU",
-    "SolveResult",
-    "StringConcatenation",
-    "StringEquality",
-    "StringIncludes",
-    "StringLength",
-    "StringCharAt",
-    "StringNotEquals",
-    "StringPrefixOf",
-    "StringQuboSolver",
-    "StringReplace",
-    "StringReplaceAll",
-    "StringReversal",
-    "StringSubstr",
-    "StringSuffixOf",
-    "SubstringIndexOf",
-    "SubstringMatching",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "ConstraintPipeline",
+            "PalindromeGeneration",
+            "PipelineResult",
+            "PipelineStage",
+            "RegexMatching",
+            "SolveResult",
+            "StringConcatenation",
+            "StringEquality",
+            "StringIncludes",
+            "StringLength",
+            "StringCharAt",
+            "StringNotEquals",
+            "StringPrefixOf",
+            "StringQuboSolver",
+            "StringReplace",
+            "StringReplaceAll",
+            "StringReversal",
+            "StringSubstr",
+            "StringSuffixOf",
+            "SubstringIndexOf",
+            "SubstringMatching",
+        ),
+        "repro.anneal": (
+            "ExactSolver",
+            "PathIntegralAnnealer",
+            "SampleSet",
+            "SimulatedAnnealingSampler",
+        ),
+        "repro.hardware": ("EmbeddingComposite", "SimulatedQPU"),
+        "repro.qubo": ("BinaryQuadraticModel", "QuboModel"),
+        "repro.smt": ("ClassicalStringSolver", "QuantumSMTSolver"),
+        "repro.service": (
+            "BatchSolver",
+            "CompileCache",
+            "MetricsRegistry",
+            "RetryExhaustedError",
+            "RetryPolicy",
+        ),
+    },
+)
+__all__ = sorted([*__all__, "__version__"])

@@ -20,49 +20,36 @@ surrounding sampler ecosystem a hardware-ready stack needs:
 * :mod:`~repro.anneal.composites` — embedding/scale/truncate wrappers.
 """
 
-from repro.anneal.sampleset import Sample, SampleSet
-from repro.anneal.schedule import (
-    default_beta_range,
-    geometric_schedule,
-    linear_schedule,
-    transverse_field_schedule,
-)
-from repro.anneal.base import Sampler
-from repro.anneal.simulated import SimulatedAnnealingSampler
-from repro.anneal.sqa import PathIntegralAnnealer
-from repro.anneal.exact import ExactSolver
-from repro.anneal.reverse import ReverseAnnealingSampler
-from repro.anneal.population import PopulationAnnealingSampler
-from repro.anneal.tabu import TabuSampler
-from repro.anneal.greedy import SteepestDescentSampler
-from repro.anneal.random_sampler import RandomSampler
-from repro.anneal.parallel import ParallelSampler, PortfolioSampler, split_evenly
-from repro.anneal.composites import (
-    ScaleComposite,
-    SpinReversalTransformComposite,
-    TruncateComposite,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ExactSolver",
-    "ParallelSampler",
-    "PathIntegralAnnealer",
-    "PopulationAnnealingSampler",
-    "PortfolioSampler",
-    "RandomSampler",
-    "ReverseAnnealingSampler",
-    "Sample",
-    "SampleSet",
-    "Sampler",
-    "ScaleComposite",
-    "SimulatedAnnealingSampler",
-    "SpinReversalTransformComposite",
-    "SteepestDescentSampler",
-    "TabuSampler",
-    "TruncateComposite",
-    "default_beta_range",
-    "geometric_schedule",
-    "linear_schedule",
-    "split_evenly",
-    "transverse_field_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.anneal.sampleset": ("Sample", "SampleSet"),
+        "repro.anneal.schedule": (
+            "default_beta_range",
+            "geometric_schedule",
+            "linear_schedule",
+            "transverse_field_schedule",
+        ),
+        "repro.anneal.base": ("Sampler",),
+        "repro.anneal.simulated": ("SimulatedAnnealingSampler",),
+        "repro.anneal.sqa": ("PathIntegralAnnealer",),
+        "repro.anneal.exact": ("ExactSolver",),
+        "repro.anneal.reverse": ("ReverseAnnealingSampler",),
+        "repro.anneal.population": ("PopulationAnnealingSampler",),
+        "repro.anneal.tabu": ("TabuSampler",),
+        "repro.anneal.greedy": ("SteepestDescentSampler",),
+        "repro.anneal.random_sampler": ("RandomSampler",),
+        "repro.anneal.parallel": (
+            "ParallelSampler",
+            "PortfolioSampler",
+            "split_evenly",
+        ),
+        "repro.anneal.composites": (
+            "ScaleComposite",
+            "SpinReversalTransformComposite",
+            "TruncateComposite",
+        ),
+    },
+)

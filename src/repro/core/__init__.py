@@ -12,65 +12,42 @@ concrete semantics. :class:`~repro.core.solver.StringQuboSolver` drives the
 full Figure-1 pipeline: formulation → QUBO → annealer → decode → verify.
 """
 
-from repro.core.encoding import (
-    char_to_bits,
-    decode_state,
-    encode_string,
-    state_to_string,
-    states_to_strings,
-)
-from repro.core.formulation import FormulationError, StringFormulation
-from repro.core.equality import StringEquality
-from repro.core.concat import StringConcatenation
-from repro.core.substring import SubstringMatching
-from repro.core.includes import StringIncludes
-from repro.core.indexof import SubstringIndexOf
-from repro.core.length import StringLength
-from repro.core.replace import StringReplace, StringReplaceAll
-from repro.core.reverse import StringReversal
-from repro.core.palindrome import PalindromeGeneration
-from repro.core.regex import RegexMatching, parse_pattern, regex_matches
-from repro.core.pipeline import ConstraintPipeline, PipelineResult, PipelineStage
-from repro.core.solver import SolveResult, StringQuboSolver
-from repro.core.affixes import (
-    StringCharAt,
-    StringPrefixOf,
-    StringSubstr,
-    StringSuffixOf,
-)
-from repro.core.notequals import StringNotEquals
-from repro.core.closest import ClosestStringFormulation
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ClosestStringFormulation",
-    "ConstraintPipeline",
-    "StringCharAt",
-    "StringNotEquals",
-    "StringPrefixOf",
-    "StringSubstr",
-    "StringSuffixOf",
-    "FormulationError",
-    "PalindromeGeneration",
-    "PipelineResult",
-    "PipelineStage",
-    "RegexMatching",
-    "SolveResult",
-    "StringConcatenation",
-    "StringEquality",
-    "StringFormulation",
-    "StringIncludes",
-    "StringLength",
-    "StringQuboSolver",
-    "StringReplace",
-    "StringReplaceAll",
-    "StringReversal",
-    "SubstringIndexOf",
-    "SubstringMatching",
-    "char_to_bits",
-    "decode_state",
-    "encode_string",
-    "parse_pattern",
-    "regex_matches",
-    "state_to_string",
-    "states_to_strings",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.encoding": (
+            "char_to_bits",
+            "decode_state",
+            "encode_string",
+            "state_to_string",
+            "states_to_strings",
+        ),
+        "repro.core.formulation": ("FormulationError", "StringFormulation"),
+        "repro.core.equality": ("StringEquality",),
+        "repro.core.concat": ("StringConcatenation",),
+        "repro.core.substring": ("SubstringMatching",),
+        "repro.core.includes": ("StringIncludes",),
+        "repro.core.indexof": ("SubstringIndexOf",),
+        "repro.core.length": ("StringLength",),
+        "repro.core.replace": ("StringReplace", "StringReplaceAll"),
+        "repro.core.reverse": ("StringReversal",),
+        "repro.core.palindrome": ("PalindromeGeneration",),
+        "repro.core.regex": ("RegexMatching", "parse_pattern", "regex_matches"),
+        "repro.core.pipeline": (
+            "ConstraintPipeline",
+            "PipelineResult",
+            "PipelineStage",
+        ),
+        "repro.core.solver": ("SolveResult", "StringQuboSolver"),
+        "repro.core.affixes": (
+            "StringCharAt",
+            "StringPrefixOf",
+            "StringSubstr",
+            "StringSuffixOf",
+        ),
+        "repro.core.notequals": ("StringNotEquals",),
+        "repro.core.closest": ("ClosestStringFormulation",),
+    },
+)

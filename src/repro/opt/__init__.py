@@ -10,29 +10,23 @@ bounds across annealer restarts under a deadline budget. Results are typed
 breakdown, and the weight-calibration gap certificate.
 """
 
-from repro.opt.driver import AnytimeOptimizer, audit_cost
-from repro.opt.result import (
-    OptimizeResult,
-    OptStatus,
-    SoftReport,
-    solve_status_for,
-)
-from repro.opt.weighted import (
-    WeightedFormulation,
-    WeightedProblem,
-    compile_weighted,
-    model_spread,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AnytimeOptimizer",
-    "OptStatus",
-    "OptimizeResult",
-    "SoftReport",
-    "WeightedFormulation",
-    "WeightedProblem",
-    "audit_cost",
-    "compile_weighted",
-    "model_spread",
-    "solve_status_for",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.opt.driver": ("AnytimeOptimizer", "audit_cost"),
+        "repro.opt.result": (
+            "OptimizeResult",
+            "OptStatus",
+            "SoftReport",
+            "solve_status_for",
+        ),
+        "repro.opt.weighted": (
+            "WeightedFormulation",
+            "WeightedProblem",
+            "compile_weighted",
+            "model_spread",
+        ),
+    },
+)

@@ -18,75 +18,45 @@ This subpackage is a from-scratch replacement for the parts of D-Wave's
   fix variables.
 """
 
-from repro.qubo.vartypes import BINARY, SPIN, Vartype
-from repro.qubo.model import QuboModel
-from repro.qubo.bqm import BinaryQuadraticModel
-from repro.qubo.ising import ising_to_qubo, qubo_to_ising
-from repro.qubo.energy import (
-    qubo_energies,
-    qubo_energy,
-    ising_energies,
-    ising_energy,
-)
-from repro.qubo.algebra import (
-    add_models,
-    fix_variables,
-    relabel_variables,
-    scale_model,
-)
-from repro.qubo.matrix import (
-    dense_from_dict,
-    dict_from_dense,
-    to_symmetric,
-    to_upper_triangular,
-)
-from repro.qubo.sparse import (
-    CsrMatrix,
-    SparseStats,
-    coupling_density,
-    csr_from_coefficients,
-    prefers_sparse,
-    qubo_energies_csr,
-    sparse_sampler_form,
-    sparse_stats,
-)
-from repro.qubo.hubo import HuboModel, quadratize
-from repro.qubo.serialization import load_model, save_model
-from repro.qubo.tile import TiledProblem, model_content_hash, tile_models
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BINARY",
-    "CsrMatrix",
-    "SparseStats",
-    "coupling_density",
-    "csr_from_coefficients",
-    "prefers_sparse",
-    "qubo_energies_csr",
-    "sparse_sampler_form",
-    "sparse_stats",
-    "HuboModel",
-    "quadratize",
-    "load_model",
-    "save_model",
-    "SPIN",
-    "BinaryQuadraticModel",
-    "QuboModel",
-    "TiledProblem",
-    "Vartype",
-    "model_content_hash",
-    "tile_models",
-    "add_models",
-    "dense_from_dict",
-    "dict_from_dense",
-    "fix_variables",
-    "ising_energies",
-    "ising_energy",
-    "ising_to_qubo",
-    "qubo_energies",
-    "qubo_energy",
-    "qubo_to_ising",
-    "relabel_variables",
-    "scale_model",
-    "to_symmetric",
-    "to_upper_triangular",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.qubo.vartypes": ("BINARY", "SPIN", "Vartype"),
+        "repro.qubo.model": ("QuboModel",),
+        "repro.qubo.bqm": ("BinaryQuadraticModel",),
+        "repro.qubo.ising": ("ising_to_qubo", "qubo_to_ising"),
+        "repro.qubo.energy": (
+            "qubo_energies",
+            "qubo_energy",
+            "ising_energies",
+            "ising_energy",
+        ),
+        "repro.qubo.algebra": (
+            "add_models",
+            "fix_variables",
+            "relabel_variables",
+            "scale_model",
+        ),
+        "repro.qubo.matrix": (
+            "dense_from_dict",
+            "dict_from_dense",
+            "to_symmetric",
+            "to_upper_triangular",
+        ),
+        "repro.qubo.sparse": (
+            "CsrMatrix",
+            "SparseStats",
+            "coupling_density",
+            "csr_from_coefficients",
+            "prefers_sparse",
+            "qubo_energies_csr",
+            "sparse_sampler_form",
+            "sparse_stats",
+        ),
+        "repro.qubo.hubo": ("HuboModel", "quadratize"),
+        "repro.qubo.serialization": ("load_model", "save_model"),
+        "repro.qubo.tile": ("TiledProblem", "model_content_hash", "tile_models"),
+    },
+)

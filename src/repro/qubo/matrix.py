@@ -12,10 +12,12 @@ and the dense forms used by the numeric kernels.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "dense_from_dict",
@@ -61,6 +63,8 @@ def dense_from_dict(coefficients: PairDict, num_variables: int) -> np.ndarray:
 
 def coo_from_dict(coefficients: PairDict, num_variables: int) -> sp.coo_matrix:
     """Build a sparse COO upper-triangular matrix (for very large models)."""
+    import scipy.sparse as sp
+
     upper = to_upper_triangular(coefficients)
     if not upper:
         return sp.coo_matrix((num_variables, num_variables), dtype=np.float64)

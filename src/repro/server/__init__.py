@@ -29,99 +29,50 @@ SMT-LIB instances:
 * :mod:`~repro.server.client` — blocking and asyncio clients.
 
 Run it: ``python -m repro.server --port 8037 --workers 4``.
-
-``app``, ``workers`` and ``client`` are imported lazily (PEP 562): they
-pull in :mod:`repro.smt.solver` and the full annealing stack, and laziness
-keeps ``import repro.server.protocol`` light for clients that only need
-the envelope schema.
 """
 
-from repro.server.admission import (
-    AdmissionQueue,
-    DeadlineExceededError,
-    DrainingError,
-    OverloadedError,
+from repro.utils.lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.server.admission": (
+            "AdmissionQueue",
+            "DeadlineExceededError",
+            "DrainingError",
+            "OverloadedError",
+        ),
+        "repro.server.protocol": (
+            "ERROR_BAD_REQUEST",
+            "ERROR_CANCELLED",
+            "ERROR_DRAINING",
+            "ERROR_INTERNAL",
+            "ERROR_OVERLOADED",
+            "ERROR_PARSE",
+            "ERROR_TIMEOUT",
+            "ERROR_TOO_LARGE",
+            "ERROR_UPSTREAM",
+            "ErrorInfo",
+            "ResponseEnvelope",
+            "SolveRequest",
+            "locate_parse_error",
+        ),
+        "repro.server.app": (
+            "BackgroundServer",
+            "ServerConfig",
+            "ServerState",
+            "SolverServer",
+        ),
+        "repro.server.workers": ("SolverWorkerPool",),
+        "repro.server.procpool": ("ProcessSolverBackend", "WorkerCrashError"),
+        "repro.server.router": (
+            "BackgroundRouter",
+            "RouterConfig",
+            "ShardRouter",
+            "ShardSpec",
+            "aggregate_metrics",
+            "shard_key",
+        ),
+        "repro.server.client": ("AsyncSolverClient", "SolveReply", "SolverClient"),
+    },
 )
-from repro.server.protocol import (
-    ERROR_BAD_REQUEST,
-    ERROR_CANCELLED,
-    ERROR_DRAINING,
-    ERROR_INTERNAL,
-    ERROR_OVERLOADED,
-    ERROR_PARSE,
-    ERROR_TIMEOUT,
-    ERROR_TOO_LARGE,
-    ERROR_UPSTREAM,
-    ErrorInfo,
-    ResponseEnvelope,
-    SolveRequest,
-    locate_parse_error,
-)
-
-__all__ = [
-    "AdmissionQueue",
-    "AsyncSolverClient",
-    "BackgroundRouter",
-    "BackgroundServer",
-    "DeadlineExceededError",
-    "DrainingError",
-    "ERROR_BAD_REQUEST",
-    "ERROR_CANCELLED",
-    "ERROR_DRAINING",
-    "ERROR_INTERNAL",
-    "ERROR_OVERLOADED",
-    "ERROR_PARSE",
-    "ERROR_TIMEOUT",
-    "ERROR_TOO_LARGE",
-    "ERROR_UPSTREAM",
-    "ErrorInfo",
-    "OverloadedError",
-    "ProcessSolverBackend",
-    "ResponseEnvelope",
-    "RouterConfig",
-    "ServerConfig",
-    "ServerState",
-    "ShardRouter",
-    "ShardSpec",
-    "SolveReply",
-    "SolveRequest",
-    "SolverClient",
-    "SolverServer",
-    "SolverWorkerPool",
-    "WorkerCrashError",
-    "aggregate_metrics",
-    "locate_parse_error",
-    "shard_key",
-]
-
-_LAZY = {
-    "AsyncSolverClient": "repro.server.client",
-    "BackgroundRouter": "repro.server.router",
-    "BackgroundServer": "repro.server.app",
-    "ProcessSolverBackend": "repro.server.procpool",
-    "RouterConfig": "repro.server.router",
-    "ServerConfig": "repro.server.app",
-    "ServerState": "repro.server.app",
-    "ShardRouter": "repro.server.router",
-    "ShardSpec": "repro.server.router",
-    "SolveReply": "repro.server.client",
-    "SolverClient": "repro.server.client",
-    "SolverServer": "repro.server.app",
-    "SolverWorkerPool": "repro.server.workers",
-    "WorkerCrashError": "repro.server.procpool",
-    "aggregate_metrics": "repro.server.router",
-    "shard_key": "repro.server.router",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is not None:
-        import importlib
-
-        return getattr(importlib.import_module(module_name), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

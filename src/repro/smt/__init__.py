@@ -20,94 +20,53 @@ around the QUBO core that a real solver needs:
   DPLL(T) driver using the string theory as its T-solver.
 """
 
-from repro.smt.ast import (
-    BoolSort,
-    Concat,
-    Contains,
-    Eq,
-    IndexOf,
-    IntLit,
-    IntSort,
-    InRe,
-    Length,
-    Not,
-    ReConcat,
-    ReLit,
-    RePlus,
-    ReRange,
-    ReUnion,
-    Replace,
-    Reverse,
-    StringSort,
-    StrLit,
-    StrVar,
-)
-from repro.smt.sexpr import SExprError, Symbol, parse_sexprs
-from repro.smt.status import SolveStatus
-from repro.smt.theory import TheoryError, eval_formula, eval_term
-from repro.smt.parser import ParseError, SmtScript, parse_script
-from repro.smt.printer import render_assertion, render_script, render_term
-from repro.smt.compiler import CompilationError, CompiledProblem, compile_assertions
-from repro.smt.solver import QuantumSMTSolver, SmtResult
-from repro.smt.classical import ClassicalStringSolver
-from repro.smt.dpll import CdclSolver, DpllResult
-from repro.smt.dpllt import DpllTSolver
-from repro.smt.generator import ALL_OPS, GeneratedInstance, InstanceGenerator
-from repro.smt.refine import (
-    RefinementEngine,
-    RefineStats,
-    UnsoundPropagationError,
-)
-from repro.smt.session import SolverSession
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ALL_OPS",
-    "BoolSort",
-    "CdclSolver",
-    "ClassicalStringSolver",
-    "CompilationError",
-    "CompiledProblem",
-    "Concat",
-    "GeneratedInstance",
-    "InstanceGenerator",
-    "Contains",
-    "DpllResult",
-    "DpllTSolver",
-    "Eq",
-    "IndexOf",
-    "InRe",
-    "IntLit",
-    "IntSort",
-    "Length",
-    "Not",
-    "ParseError",
-    "QuantumSMTSolver",
-    "ReConcat",
-    "ReLit",
-    "RefineStats",
-    "RefinementEngine",
-    "RePlus",
-    "ReRange",
-    "ReUnion",
-    "Replace",
-    "Reverse",
-    "SExprError",
-    "SmtResult",
-    "SmtScript",
-    "SolveStatus",
-    "SolverSession",
-    "UnsoundPropagationError",
-    "StringSort",
-    "StrLit",
-    "StrVar",
-    "Symbol",
-    "TheoryError",
-    "compile_assertions",
-    "eval_formula",
-    "eval_term",
-    "parse_script",
-    "parse_sexprs",
-    "render_assertion",
-    "render_script",
-    "render_term",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.smt.ast": (
+            "BoolSort",
+            "Concat",
+            "Contains",
+            "Eq",
+            "IndexOf",
+            "IntLit",
+            "IntSort",
+            "InRe",
+            "Length",
+            "Not",
+            "ReConcat",
+            "ReLit",
+            "RePlus",
+            "ReRange",
+            "ReUnion",
+            "Replace",
+            "Reverse",
+            "StringSort",
+            "StrLit",
+            "StrVar",
+        ),
+        "repro.smt.sexpr": ("SExprError", "Symbol", "parse_sexprs"),
+        "repro.smt.status": ("SolveStatus",),
+        "repro.smt.theory": ("TheoryError", "eval_formula", "eval_term"),
+        "repro.smt.parser": ("ParseError", "SmtScript", "parse_script"),
+        "repro.smt.printer": ("render_assertion", "render_script", "render_term"),
+        "repro.smt.compiler": (
+            "CompilationError",
+            "CompiledProblem",
+            "compile_assertions",
+        ),
+        "repro.smt.solver": ("QuantumSMTSolver", "SmtResult"),
+        "repro.smt.classical": ("ClassicalStringSolver",),
+        "repro.smt.dpll": ("CdclSolver", "DpllResult"),
+        "repro.smt.dpllt": ("DpllTSolver",),
+        "repro.smt.generator": ("ALL_OPS", "GeneratedInstance", "InstanceGenerator"),
+        "repro.smt.refine": (
+            "RefinementEngine",
+            "RefineStats",
+            "UnsoundPropagationError",
+        ),
+        "repro.smt.session": ("SolverSession",),
+    },
+)
