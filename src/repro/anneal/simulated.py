@@ -17,7 +17,11 @@ NumPy idioms from the HPC guides:
   It holds its columns in colour order, so each class is a contiguous
   slice, builds each class's field-update operator once per anneal, and
   on models without couplings replaces the per-step energy arithmetic
-  with a precomputed ``(sweep, column)`` acceptance table.
+  with a precomputed ``(sweep, column)`` acceptance table. A class of a
+  fused tile (one segment per block) is held segment-major, so a single
+  flat draw order serves all its blocks: one count, scatter and compare
+  per class step however many blocks it spans, and only the per-block
+  ``random`` calls left in Python.
 * The paper's per-variable random scan (``sweep_mode="random"``) stays
   available as the reference setting: with ``num_sweeps=256`` it is the
   configuration the paper's experiments ran.
@@ -325,10 +329,10 @@ class SimulatedAnnealingSampler(Sampler):
         Within one color class no two variables interact, so flipping them
         simultaneously is exactly equivalent to flipping them one at a
         time. Each entry of *merged* is one class over the (possibly
-        fused) state matrix, split into ``(block, lo, hi)`` segments; the
-        only per-block work in the inner loop is the Metropolis draw on
-        each segment (its own stream, its own beta). A solo model is one
-        block with one segment per class.
+        fused) state matrix, split into ``(block, lo, hi)`` segments; each
+        segment draws its Metropolis uniforms from its own block's stream
+        and uses its own block's beta. A solo model is one block with one
+        segment per class.
 
         The anneal runs in a **colour-contiguous** column order: ``perm``
         concatenates the classes (each keeping its own column order), so
@@ -337,29 +341,51 @@ class SimulatedAnnealingSampler(Sampler):
         is a slice, not a gather. The state is written back through
         ``perm`` once at the end.
 
+        The Metropolis step depends only on a class's segment count:
+
+        * **One segment** (every class of a solo model): the hot reads of
+          the ``(R, w)`` slice are selected with a boolean mask and draw
+          ``rng.random(count)`` in row-major order.
+        * **Several segments** (a fused tile): the class's state is held
+          **segment-major** for the whole anneal (:class:`_SegmentMajor`),
+          a ``(segments, R, width)`` array padded to the widest segment.
+          Its flat index order is the draw order (block by block, then
+          row-major inside each block), so one ``flatnonzero``, one
+          ``searchsorted`` over the segment boundaries and one
+          integer-index store place every block's draws; the only
+          per-block work is ``rngs[k].random(out=...)``. The flip mask is
+          one compare against a ``(segments, 1, width)`` table slice.
+
         * **Coupled models.** The field update is one rank-k product per
           class through an operator built once per anneal: the class's
           row block of ``W[perm][:, perm]``, held as a contiguous dense
           block or as a pre-transposed CSR applied as ``(op @ delta.T).T``
           (the product SciPy's ``delta @ block`` computes, minus the
-          per-call transpose), ``O(R · nnz(class))``. In a fused matrix
-          the block-diagonal structure makes cross-block contributions
-          structurally absent (CSR) or exact zeros (dense), so per-block
-          results match a solo anneal bit-for-bit on integer-coefficient
-          models.
+          per-call transpose), ``O(R · nnz(class))``. Fields stay in the
+          ``(R, n)`` layout: a fused class gathers its fields into the
+          segment-major layout and scatters its ``delta`` back, so the
+          products are the same ones a solo anneal computes. In a fused
+          matrix the block-diagonal structure makes cross-block
+          contributions structurally absent (CSR) or exact zeros (dense),
+          so per-block results match a solo anneal bit-for-bit on
+          integer-coefficient models. A fused class evaluates
+          ``exp(clip(-β·ΔE, -700, 0))`` on every cell, each segment at its
+          own ``β``; on the hot cells that is the value a solo anneal
+          computes, and on the other real cells it is 1, which their zero
+          draws stay below (``ΔE <= 0`` always accepts).
         * **Uncoupled models** (no nonzero coupling). ``ΔE = ±d_j``: a
           read is *hot* (needs a draw) exactly when ``x_j`` sits on the
           lower-energy side of ``d_j``, and its acceptance probability
-          depends only on the sweep and the column. One table
-          ``P[t, j] = exp(clip(-β_t |d_j|, -700, 0))``, each column on its
-          own block's schedule, replaces the per-step energy arithmetic:
-          the draws for the hot reads are scattered into a zeroed buffer
-          and ``buffer < P[t]`` is the flip mask (every ``P > 0``, so a
-          read that is not hot always flips, as ``ΔE <= 0`` requires).
+          depends only on the sweep and the column. One table per class,
+          ``P[t, j] = exp(clip(-β_t |d_j|, -700, 0))`` on each segment's
+          own schedule, replaces the per-step energy arithmetic: the
+          draws for the hot reads are scattered into a zeroed buffer and
+          ``buffer < P[t]`` is the flip mask (every ``P > 0``, so a read
+          that is not hot always flips, as ``ΔE <= 0`` requires).
 
-        Both branches draw the same uniforms in the same order and compare
-        them against the same float64 values as a per-class gather would,
-        so results are bit-identical to it.
+        Every step draws the same uniforms in the same order and compares
+        them against the same float64 values as a per-segment loop over
+        a per-class gather would, so results are bit-identical to it.
         """
         perm = np.concatenate([cols for cols, _ in merged])
         ends = np.cumsum([cols.size for cols, _ in merged]).tolist()
@@ -367,28 +393,40 @@ class SimulatedAnnealingSampler(Sampler):
         x = states[:, perm]
         d = diag[perm]
         num_sweeps = next(b.shape[0] for b in betas if b is not None)
+        # Per class: its range, its one block (solo) or its segment-major
+        # layout (fused).
+        plans = [
+            (a, b, segments[0][0], None)
+            if len(segments) == 1
+            else (a, b, None, _SegmentMajor(segments, a, x, betas))
+            for (_, segments), (a, b) in zip(merged, spans)
+        ]
 
         if not has_coupling:
             # The value of x_j at which a flip costs energy; 2 (never
             # matched) where d_j == 0, since those flips always accept.
             pref = np.where(d > 0, 0, np.where(d < 0, 1, 2)).astype(np.int8)
-            table = np.empty((num_sweeps, perm.size))
-            for (_, segments), (a, _) in zip(merged, spans):
-                for k, lo, hi in segments:
-                    cols = slice(a + lo, a + hi)
-                    table[:, cols] = np.outer(-betas[k], np.abs(d[cols]))
-            np.exp(np.clip(table, -_EXP_CLIP, 0.0, out=table), out=table)
+            tables = [
+                np.exp(np.clip(np.outer(-betas[k], np.abs(d[a:b])), -_EXP_CLIP, 0.0))
+                if fused is None
+                else fused.acceptance_table(d, pref)
+                for a, b, k, fused in plans
+            ]
             for t in range(num_sweeps):
-                for (_, segments), (a, b) in zip(merged, spans):
+                for (a, b, k, fused), table in zip(plans, tables):
+                    if fused is not None:
+                        fused.flip_uncoupled(table[t], rngs)
+                        continue
                     xc = x[:, a:b]
                     hot = xc == pref[a:b]
                     draws = np.zeros(hot.shape)
-                    for k, lo, hi in segments:
-                        seg = hot[:, lo:hi]
-                        count = np.count_nonzero(seg)
-                        if count:
-                            draws[:, lo:hi][seg] = rngs[k].random(count)
-                    xc ^= draws < table[t, a:b]
+                    count = np.count_nonzero(hot)
+                    if count:
+                        draws[hot] = rngs[k].random(count)
+                    xc ^= draws < table[t]
+            for _, _, _, fused in plans:
+                if fused is not None:
+                    fused.write_back(x)
             states[:, perm] = x
             return
 
@@ -409,31 +447,40 @@ class SimulatedAnnealingSampler(Sampler):
         else:
             w = coupling[np.ix_(perm, perm)]
             ops = [w[a:b] for a, b in spans]
+        for _, _, _, fused in plans:
+            if fused is not None:
+                fused.bind_fields(fields, d)
         for t in range(num_sweeps):
-            for (_, segments), (a, b), op in zip(merged, spans, ops):
-                xc = x[:, a:b]
-                dx = 1.0 - 2.0 * xc
-                delta_e = dx * (d[a:b] + fields[:, a:b])
-                accept = delta_e <= 0.0
-                for k, lo, hi in segments:
-                    seg = accept[:, lo:hi]
-                    hot = ~seg
+            for (a, b, k, fused), op in zip(plans, ops):
+                if fused is None:
+                    xc = x[:, a:b]
+                    dx = 1.0 - 2.0 * xc
+                    delta_e = dx * (d[a:b] + fields[:, a:b])
+                    accept = delta_e <= 0.0
+                    hot = ~accept
                     count = np.count_nonzero(hot)
                     if count:
                         # No upper clamp: a hot read has ΔE > 0 and every β
                         # is positive, so -β·ΔE is already below 0.
-                        p = delta_e[:, lo:hi][hot]
+                        p = delta_e[hot]
                         p *= -betas[k][t]
                         np.exp(np.maximum(p, -_EXP_CLIP, out=p), out=p)
-                        seg[hot] = rngs[k].random(count) < p
-                if not accept.any():
-                    continue
-                xc ^= accept
-                delta = dx * accept
+                        accept[hot] = rngs[k].random(count) < p
+                    if not accept.any():
+                        continue
+                    xc ^= accept
+                    delta = dx * accept
+                else:
+                    delta = fused.flip_coupled(t, rngs)
+                    if delta is None:
+                        continue
                 if sparse:
                     fields += (op @ delta.T).T
                 else:
                     fields += delta @ op
+        for _, _, _, fused in plans:
+            if fused is not None:
+                fused.write_back(x)
         states[:, perm] = x
 
     @staticmethod
@@ -518,3 +565,140 @@ class SimulatedAnnealingSampler(Sampler):
         if np.any(betas <= 0):
             raise ValueError("explicit beta schedule must be positive")
         return betas
+
+
+class _SegmentMajor:
+    """One fused colour class of :meth:`SimulatedAnnealingSampler._anneal_classes`,
+    held segment-major for the whole anneal.
+
+    ``x`` is a ``(segments, R, width)`` array: segment *s* holds the class
+    columns of block ``blocks[s]``, padded to the widest segment by
+    repeating the segment's first column. Padding cells are kept out of
+    every hot set (so they never draw) and are never written back. The
+    flat index order of ``x`` is the draw order — block by block, then
+    row-major inside each block, exactly as a boolean mask over each
+    segment's ``(R, w)`` slice visits them.
+
+    Every per-step array of the class's size is a buffer that lives for
+    the whole anneal: fresh class-sized temporaries on every step cost
+    more in page faults than the arithmetic they hold.
+    """
+
+    def __init__(
+        self,
+        segments: Sequence[Tuple[int, int, int]],
+        start: int,
+        x: np.ndarray,
+        betas: Sequence[Optional[np.ndarray]],
+    ) -> None:
+        self.blocks = [k for k, _, _ in segments]
+        widths = np.array([hi - lo for _, lo, hi in segments])
+        firsts = np.array([start + lo for _, lo, _ in segments])
+        width = int(widths.max())
+        offsets = np.arange(width)
+        #: ``(segments, width)``: the real cells, and each cell's column of x.
+        self.valid = offsets < widths[:, None]
+        self.cols = firsts[:, None] + np.where(self.valid, offsets, 0)
+        self.x = np.ascontiguousarray(x[:, self.cols].transpose(1, 0, 2))
+        self.start = start
+        cells = x.shape[0] * width
+        #: Flat end of each segment's cells, for the per-block draw counts.
+        self.ends = np.arange(1, len(segments) + 1) * cells
+        #: ``(sweeps, segments, 1)``: each segment's own ``-β_t``.
+        self.neg_betas = -np.stack([betas[k] for k in self.blocks], axis=1)[:, :, None]
+        self.hot = np.empty(self.x.shape, dtype=bool)
+        self.flip = np.empty(self.x.shape, dtype=bool)
+        self._draws = np.empty(self.x.shape)
+        self._pool = np.empty(self.x.size)
+
+    def draws(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Zeros, with each block's uniforms at its ``hot`` cells in draw
+        order: one ``flatnonzero``, one ``searchsorted`` and one store for
+        the class, and one ``random`` call per block with any hot cell."""
+        idx = np.flatnonzero(self.hot)
+        pool = self._pool[: idx.size]
+        lo = 0
+        for k, hi in zip(self.blocks, idx.searchsorted(self.ends).tolist()):
+            if hi > lo:
+                rngs[k].random(out=pool[lo:hi])
+                lo = hi
+        draws = self._draws
+        draws.fill(0.0)
+        draws.ravel()[idx] = pool
+        return draws
+
+    def acceptance_table(self, diag: np.ndarray, pref: np.ndarray) -> np.ndarray:
+        """Uncoupled models: the class's ``(sweeps, segments, 1, width)``
+        table ``exp(clip(-β_t |d_j|, -700, 0))``. Also keeps ``pref``
+        per cell, with 2 (never matched) on the padding."""
+        self.pref = np.where(self.valid, pref[self.cols], 2)[:, None, :]
+        table = self.neg_betas[:, :, :, None] * np.abs(diag[self.cols])[:, None, :]
+        return np.exp(np.clip(table, -_EXP_CLIP, 0.0, out=table), out=table)
+
+    def flip_uncoupled(self, table: np.ndarray, rngs: Sequence[np.random.Generator]) -> None:
+        """One Metropolis step of an uncoupled class against ``table[t]``."""
+        np.equal(self.x, self.pref, out=self.hot)
+        self.x ^= np.less(self.draws(rngs), table, out=self.flip)
+
+    def bind_fields(self, fields: np.ndarray, diag: np.ndarray) -> None:
+        """Index maps between the ``(R, n)`` fields and this layout.
+
+        ``fields[fidx]`` (over the memory-order flat view of *fields*,
+        which the in-place field updates keep current) gathers the class's
+        fields segment-major; ``back`` maps the class's ``(R, w)`` cells to
+        their flat positions here, for the ``delta`` of the field update.
+        The diagonal and the real-cell mask are spelled out to the full
+        ``(segments, R, width)`` shape: broadcasting them over a short
+        ``width`` axis costs more than the memory.
+        """
+        segs, reads, width = self.x.shape
+        rows, cols = (stride // fields.itemsize for stride in fields.strides)
+        self.fields = fields.ravel(order="K")
+        self.fidx = np.arange(reads)[None, :, None] * rows + self.cols[:, None, :] * cols
+        shape = self.x.shape
+        self.diag = np.ascontiguousarray(np.broadcast_to(diag[self.cols][:, None, :], shape))
+        self.real = np.ascontiguousarray(np.broadcast_to(self.valid[:, None, :], shape))
+        flat = np.arange(segs)[:, None] * (reads * width) + np.arange(width)
+        self.back = np.empty((reads, int(self.valid.sum())), dtype=np.intp)
+        self.back[:, self.cols[self.valid] - self.start] = (
+            flat[self.valid] + (np.arange(reads) * width)[:, None]
+        )
+        self.dx = np.empty(shape)
+        self.delta_e = np.empty(shape)
+        self.p = np.empty(shape)
+        self.delta = np.empty(self.back.shape)
+
+    def flip_coupled(
+        self, t: int, rngs: Sequence[np.random.Generator]
+    ) -> Optional[np.ndarray]:
+        """One Metropolis step of a coupled class at sweep *t*.
+
+        Returns the class's ``(R, w)`` field-update ``delta`` (a buffer
+        the next call overwrites), or None when no read flipped.
+        """
+        segs = self.x.shape[0]
+        dx = np.multiply(self.x, 2.0, out=self.dx)
+        np.subtract(1.0, dx, out=dx)
+        # mode="clip" (every index is in range) writes straight into the
+        # buffer; the default mode would stage the result in a temporary.
+        delta_e = np.take(self.fields, self.fidx, out=self.delta_e, mode="clip")
+        delta_e += self.diag
+        delta_e *= dx
+        np.greater(delta_e, 0.0, out=self.hot)
+        self.hot &= self.real
+        draws = self.draws(rngs)
+        # exp(clip(-β·ΔE)): the solo value on hot cells, and 1 on the other
+        # real cells, so their zero draws accept. -β·ΔE runs over rows of
+        # R·width cells per segment: a broadcast over the short width axis
+        # is several times slower.
+        p = self.p
+        np.multiply(delta_e.reshape(segs, -1), self.neg_betas[t], out=p.reshape(segs, -1))
+        np.exp(np.clip(p, -_EXP_CLIP, 0.0, out=p), out=p)
+        accept = np.less(draws, p, out=self.flip)
+        self.x ^= accept
+        delta = np.multiply(dx, accept, out=dx).ravel()
+        np.take(delta, self.back, out=self.delta, mode="clip")
+        return self.delta if self.delta.any() else None
+
+    def write_back(self, x: np.ndarray) -> None:
+        x[:, self.cols[self.valid]] = self.x.transpose(1, 0, 2)[:, self.valid]

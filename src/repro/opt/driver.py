@@ -368,16 +368,22 @@ class AnytimeOptimizer:
             reads += len(sampleset)
             if self.metrics is not None:
                 self.metrics.counter("opt.restarts").inc()
+            # Reads that settle in the same state decode to the same value:
+            # decode each distinct state once, in first-occurrence order.
+            states = sampleset.states
+            first_row: Dict[bytes, int] = {}
+            for row, state in enumerate(states):
+                first_row.setdefault(state.tobytes(), row)
+            rows = list(first_row.values())
             seen = set()
-            for row, state in enumerate(sampleset.states):
-                value = formulation.decode(state)
+            for row, value in zip(rows, formulation.decode_states(states[rows])):
                 if value in seen:
                     continue
                 seen.add(value)
                 feasible, cost = audit_cost(hard_asserts, softs, {variable: value})
                 if feasible and (best_value is None or cost < best_cost):
                     best_value, best_cost = value, cost
-                    best_state = np.asarray(state, dtype=np.int8)
+                    best_state = np.asarray(states[row], dtype=np.int8)
             if best_value is not None and best_cost == 0.0:
                 break  # lower bound reached: provably optimal for this variable
         if best_value is None:

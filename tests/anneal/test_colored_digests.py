@@ -13,7 +13,11 @@ same accept decisions on:
 * a model whose colour classes are not in index order (a non-trivial
   column permutation);
 * a fused tile mixing coupled and uncoupled blocks, with initial states
-  for some blocks.
+  for some blocks;
+* two tiles of at least sixteen blocks (one uncoupled, one coupled in
+  both forms) whose merged classes have many segments of unequal width,
+  recorded with the per-segment Metropolis loop before the kernel moved
+  to a segment-major layout for fused classes.
 """
 
 import hashlib
@@ -47,9 +51,9 @@ def _digest(*samplesets):
     return h.hexdigest()
 
 
-def _uncoupled_model(n=40, scale=1.0):
+def _uncoupled_model(n=40, scale=1.0, seed=17):
     """Non-integer diagonal with some exact zeros: never hot there."""
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(seed)
     diag = scale * rng.normal(size=n)
     diag[::7] = 0.0
     return QuboModel(n, {(i, i): float(v) for i, v in enumerate(diag)})
@@ -73,6 +77,46 @@ def _star_model(n=12):
     return QuboModel(n, coeffs)
 
 
+def _chain_model(n):
+    """Integer path couplings: two colour classes of nearly equal size."""
+    coeffs = {(i, i + 1): float((i % 3) - 1) * 2.0 for i in range(n - 1)}
+    coeffs.update({(i, i): float((i % 5) - 2) for i in range(n)})
+    return QuboModel(n, coeffs)
+
+
+def _wide_uncoupled_models():
+    """Sixteen uncoupled blocks of unequal width and energy scale."""
+    return [
+        _uncoupled_model(5 + 3 * k, scale=1.0 + (k % 4), seed=100 + k)
+        for k in range(16)
+    ]
+
+
+def _wide_coupled_models():
+    """Seventeen blocks: coupled ones with two or three colour classes of
+    unequal sizes, and uncoupled ones that sit out every class but the
+    first."""
+    models = []
+    for k in range(17):
+        kind = k % 4
+        if kind == 0:
+            models.append(_uncoupled_model(6 + k, seed=200 + k))
+        elif kind == 1:
+            models.append(_star_model(8 + k // 2))
+        elif kind == 2:
+            models.append(_chain_model(7 + k))
+        else:
+            models.append(_weighted_opt_model() if k == 3 else _chain_model(4 + k))
+    return models
+
+
+def _multi_segment_widths(models):
+    """Per merged class rank, the class widths of the blocks taking part."""
+    classes = [m.color_classes() for m in models]
+    ranks = max(len(c) for c in classes)
+    return [[c[r].size for c in classes if r < len(c)] for r in range(ranks)]
+
+
 class TestPreconditions:
     """The fixtures really reach the branches the digests are meant to pin."""
 
@@ -92,6 +136,24 @@ class TestPreconditions:
         order = np.concatenate(classes)
         assert len(classes) >= 2
         assert not np.array_equal(order, np.arange(order.size))
+
+
+    def test_wide_tiles_have_unequal_multi_segment_classes(self):
+        for models in (_wide_uncoupled_models(), _wide_coupled_models()):
+            assert len(models) >= 16
+            widths = _multi_segment_widths(models)
+            assert any(len(w) > 1 and len(set(w)) > 1 for w in widths)
+
+    def test_wide_coupled_tile_mixes_class_counts_and_zero_diagonals(self):
+        models = _wide_coupled_models()
+        counts = {len(m.color_classes()) for m in models}
+        assert {1, 2, 3} <= counts
+        widths = _multi_segment_widths(models)
+        assert len(widths[0]) == len(models) > len(widths[-1]) > 1
+        uncoupled = [m for m in models if not has_any_coupling(m.sampler_form()[1])]
+        assert uncoupled and all(
+            np.any(m.sampler_form()[0] == 0.0) for m in uncoupled
+        )
 
 
 class TestSoloDigests:
@@ -166,4 +228,46 @@ class TestTiledDigests:
         assert results[0].info["beta_range"] != results[1].info["beta_range"]
         assert _digest(*results) == (
             "67b93f6bfbb140f66c1bfc8fba210255d8bfff74057a90496719fb74b9ce9b64"
+        )
+
+    def test_wide_uncoupled_tile(self):
+        models = _wide_uncoupled_models()
+        reads = 20
+        initial = [
+            np.random.default_rng(k).integers(0, 2, size=(reads, m.num_variables))
+            if k % 5 == 1
+            else None
+            for k, m in enumerate(models)
+        ]
+        results = SimulatedAnnealingSampler().sample_tiled(
+            tile_models(models),
+            num_reads=reads,
+            num_sweeps=24,
+            initial_states=initial,
+            seed=13,
+        )
+        assert _digest(*results) == (
+            "475390e6674da3f22cb76a4c4a7a3070874a25dcefacdfd047167d0f426bf661"
+        )
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_wide_coupled_tile(self, mode):
+        models = _wide_coupled_models()
+        reads = 12
+        initial = [
+            np.random.default_rng(k).integers(0, 2, size=(reads, m.num_variables))
+            if k % 3 == 2
+            else None
+            for k, m in enumerate(models)
+        ]
+        results = SimulatedAnnealingSampler().sample_tiled(
+            tile_models(models),
+            num_reads=reads,
+            num_sweeps=24,
+            coupling_mode=mode,
+            initial_states=initial,
+            seed=21,
+        )
+        assert _digest(*results) == (
+            "b66c09fdea1f6c83c71d6b72feb6b3e58baf4a01e58b396258aea57920674b67"
         )

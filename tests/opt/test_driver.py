@@ -152,6 +152,31 @@ class TestAnytime:
         assert 1 <= result.restarts <= 3
         assert result.reads_used == 16 * result.restarts
 
+    def test_decodes_each_distinct_state_once(self, monkeypatch):
+        from repro.anneal.simulated import SimulatedAnnealingSampler
+        from repro.opt.weighted import WeightedFormulation
+
+        distinct = []
+        sample_model = SimulatedAnnealingSampler.sample_model
+
+        def counting_sample_model(self, model, **params):
+            sampleset = sample_model(self, model, **params)
+            distinct.append(len({row.tobytes() for row in sampleset.states}))
+            return sampleset
+
+        decoded = []
+        decode = WeightedFormulation.decode
+
+        def counting_decode(self, state):
+            decoded.append(1)
+            return decode(self, state)
+
+        monkeypatch.setattr(SimulatedAnnealingSampler, "sample_model", counting_sample_model)
+        monkeypatch.setattr(WeightedFormulation, "decode", counting_decode)
+        result = self._run(max_restarts=3, num_reads=64)
+        assert len(distinct) == result.restarts
+        assert len(decoded) == sum(distinct) < result.reads_used
+
 
 class TestCtorValidation:
     def test_max_restarts_positive(self):
