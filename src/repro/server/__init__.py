@@ -16,9 +16,12 @@ SMT-LIB instances:
   :class:`~repro.service.cache.CompileCache` and one
   :class:`~repro.service.metrics.MetricsRegistry`, with per-request
   deadlines composed into :class:`~repro.service.policy.RetryPolicy`;
-* :mod:`~repro.server.app` — :class:`SolverServer` (routing,
-  ``/solve`` ``/healthz`` ``/metrics``, graceful drain) and
-  :class:`BackgroundServer` (embedding helper for tests/benchmarks);
+* :mod:`~repro.server.base` — :class:`HttpService`, the listener,
+  lifecycle, keep-alive loop and route shell the server and the router
+  share, with their thread and CLI runners;
+* :mod:`~repro.server.app` — :class:`SolverServer` (``/solve``
+  ``/healthz`` ``/metrics`` and sticky sessions over the shared shell)
+  and :class:`BackgroundServer` (embedding helper for tests/benchmarks);
 * :mod:`~repro.server.procpool` — :class:`ProcessSolverBackend`: the
   ``backend="process"`` worker pool (long-lived solver processes, crash
   detection with typed ``internal`` envelopes, kill-and-respawn deadline

@@ -1,4 +1,4 @@
-"""The asyncio solving server: routing, lifecycle, observability.
+"""The asyncio solving server: admission, workers and sticky sessions.
 
 Request path (``POST /solve``)::
 
@@ -6,12 +6,10 @@ Request path (``POST /solve``)::
     queue) → wait for worker slot (deadline-aware) → solve on executor
     thread (deadline-aware, cancellable) → respond
 
-Lifecycle state machine (see DESIGN.md Appendix E)::
-
-    CREATED ──start()──▶ SERVING ──shutdown()──▶ DRAINING ──▶ STOPPED
-                                   stop accepting; in-flight finishes
-                                   up to drain_timeout, the rest is
-                                   cancelled with typed envelopes
+The listener, the lifecycle state machine (CREATED → SERVING → DRAINING →
+STOPPED), the keep-alive connection loop and the route shell are the
+shared :class:`~repro.server.base.HttpService`; this module adds the
+endpoints and the drain step (admission drain, then sessions).
 
 Observability:
 
@@ -27,12 +25,9 @@ Observability:
 from __future__ import annotations
 
 import asyncio
-import enum
-import json
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Awaitable, Dict, Optional
 
 from repro.server import httpio
 from repro.server.admission import (
@@ -41,14 +36,22 @@ from repro.server.admission import (
     DrainingError,
     OverloadedError,
 )
+from repro.server.base import (
+    BackgroundService,
+    HttpService,
+    ListenerConfig,
+    Reply,
+    ServerState,
+    error_reply,
+    json_reply,
+    reply,
+)
 from repro.server.protocol import (
     ERROR_BAD_REQUEST,
-    ERROR_CANCELLED,
     ERROR_DRAINING,
     ERROR_INTERNAL,
     ERROR_OVERLOADED,
     ERROR_TIMEOUT,
-    ERROR_TOO_LARGE,
     ErrorInfo,
     ResponseEnvelope,
     SessionRequest,
@@ -72,19 +75,8 @@ from repro.smt.sexpr import SExprError
 __all__ = ["BackgroundServer", "ServerConfig", "ServerState", "SolverServer"]
 
 
-class ServerState(str, enum.Enum):
-    """Where the server is in its lifecycle."""
-
-    CREATED = "created"
-    SERVING = "serving"
-    DRAINING = "draining"
-    STOPPED = "stopped"
-
-    __str__ = str.__str__
-
-
 @dataclass
-class ServerConfig:
+class ServerConfig(ListenerConfig):
     """Everything ``python -m repro.server`` exposes as flags.
 
     ``sampler_factory`` is the fault-injection hook used by the lifecycle
@@ -92,7 +84,6 @@ class ServerConfig:
     flag.
     """
 
-    host: str = "127.0.0.1"
     port: int = 8037
     workers: int = 2
     #: Solve backend: "thread" (executor threads, one GIL) or "process"
@@ -112,9 +103,6 @@ class ServerConfig:
     batch_max: int = 8
     queue_limit: int = 16
     deadline_ms: float = 30000.0
-    drain_timeout: float = 10.0
-    max_request_bytes: int = 1 << 20
-    idle_timeout: float = 60.0
     num_reads: int = 64
     seed: Optional[int] = None
     sampler_params: Dict[str, Any] = field(default_factory=dict)
@@ -147,6 +135,7 @@ class ServerConfig:
     opt_exhaustive_bits: int = 16
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.backend not in ("thread", "process"):
@@ -176,18 +165,6 @@ class ServerConfig:
             raise ValueError(f"queue_limit must be >= 0, got {self.queue_limit}")
         if self.deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be positive, got {self.deadline_ms}")
-        if self.drain_timeout < 0:
-            raise ValueError(
-                f"drain_timeout must be non-negative, got {self.drain_timeout}"
-            )
-        if self.max_request_bytes < 1:
-            raise ValueError(
-                f"max_request_bytes must be >= 1, got {self.max_request_bytes}"
-            )
-        if self.idle_timeout <= 0:
-            raise ValueError(
-                f"idle_timeout must be positive, got {self.idle_timeout}"
-            )
         if self.session_idle_timeout <= 0:
             raise ValueError(
                 f"session_idle_timeout must be positive, got "
@@ -218,8 +195,10 @@ class ServerConfig:
         )
 
 
-class SolverServer:
+class SolverServer(HttpService):
     """The asyncio TCP/HTTP SMT-solving server (single event loop)."""
+
+    prefix = "server"
 
     def __init__(
         self,
@@ -228,12 +207,13 @@ class SolverServer:
         metrics: Optional[MetricsRegistry] = None,
         cache: Optional[CompileCache] = None,
     ) -> None:
-        self.config = config if config is not None else ServerConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        super().__init__(
+            config if config is not None else ServerConfig(),
+            metrics if metrics is not None else MetricsRegistry(),
+        )
         self.cache = (
             cache if cache is not None else CompileCache(maxsize=self.config.cache_size)
         )
-        self.state = ServerState.CREATED
         self.queue = AdmissionQueue(
             queue_limit=self.config.queue_limit,
             workers=self.config.workers,
@@ -272,14 +252,6 @@ class SolverServer:
             max_sessions=self.config.max_sessions,
             metrics=self.metrics,
         )
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Set[asyncio.Task] = set()
-        #: Connection tasks currently *inside* a request (parse → dispatch →
-        #: response write). Everything in ``_connections`` but not here is
-        #: idle in a keep-alive read and safe to cancel at any time.
-        self._active_requests: Set[asyncio.Task] = set()
-        self._stopped = asyncio.Event()
-        self._started_at = 0.0
 
     def _new_session(self) -> SolverSession:
         kwargs = dict(self._solver_kwargs)
@@ -292,301 +264,26 @@ class SolverServer:
         )
 
     # ------------------------------------------------------------------ #
-    # lifecycle
+    # drain and stop
     # ------------------------------------------------------------------ #
 
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the kernel's choice)."""
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[1]
-        return self.config.port
-
-    async def start(self) -> None:
-        """Bind the listener and transition to SERVING."""
-        if self.state is not ServerState.CREATED:
-            raise RuntimeError(f"cannot start from state {self.state}")
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
-        self._started_at = time.monotonic()
-        self.state = ServerState.SERVING
-
-    async def serve_forever(self) -> None:
-        """Block until :meth:`shutdown` completes."""
-        await self._stopped.wait()
-
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, then stop.
-
-        1. transition to DRAINING — ``/healthz`` goes 503 and new ``/solve``
-           requests on open connections are rejected with ``draining``;
-        2. close the listening socket;
-        3. wait up to ``drain_timeout`` for queued + in-flight work;
-        4. close idle keep-alive connections and cancel whatever request
-           work remains (typed ``cancelled`` envelopes);
-        5. stop the executor, transition to STOPPED.
-        """
-        if self.state in (ServerState.DRAINING, ServerState.STOPPED):
-            await self._stopped.wait()
-            return
-        self.state = ServerState.DRAINING
+    async def _drain(self) -> bool:
         self.queue.begin_drain()
-        if self._server is not None:
-            self._server.close()
-            # No ``await wait_closed()`` here: on Python 3.12+ it blocks
-            # until every client *transport* closes, which would stall the
-            # drain indefinitely while any keep-alive connection is open.
-            # ``close()`` alone stops the listener from accepting.
-
         drained = await self.queue.wait_idle(timeout=self.config.drain_timeout)
         # Sticky sessions: close every live session, waiting out any check
         # still running on the executor (bounded by the drain above — new
         # session work was already rejected as draining).
         await self.sessions.close_all()
-        # Idle keep-alive connections sit blocked in ``read_request`` and
-        # would pin the shutdown forever if left alone — close them first
-        # (they are between requests; cancelling loses nothing).
-        for task in list(self._connections):
-            if task not in self._active_requests:
-                task.cancel()
-        if drained and self._active_requests:
-            # The queue is empty, so active connections are only flushing
-            # their final response bytes: give them a short grace period.
-            await asyncio.wait(
-                list(self._active_requests),
-                timeout=min(1.0, self.config.drain_timeout or 1.0),
-            )
-        # Whatever survived — stragglers past the drain timeout or slow
-        # flushers — is cancelled with typed ``cancelled`` envelopes.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            # ``asyncio.wait`` (bounded) rather than a bare ``gather``: the
-            # shutdown path must never hang on a connection that refuses to
-            # unwind.
-            await asyncio.wait(list(self._connections), timeout=5.0)
+        return drained
+
+    def _stop(self) -> None:
         self.pool.shutdown(wait=False)
-        self.state = ServerState.STOPPED
-        self._stopped.set()
-
-    @property
-    def uptime(self) -> float:
-        if not self._started_at:
-            return 0.0
-        return time.monotonic() - self._started_at
-
-    # ------------------------------------------------------------------ #
-    # connection handling
-    # ------------------------------------------------------------------ #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Shutdown after the drain timeout: connection-level cancel.
-            pass
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-                self._active_requests.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        while True:
-            try:
-                request = await asyncio.wait_for(
-                    httpio.read_request(reader, self.config.max_request_bytes),
-                    timeout=self.config.idle_timeout,
-                )
-            except asyncio.TimeoutError:
-                # A silent client must not pin a connection task (and with
-                # it, graceful shutdown) forever: idle keep-alive reads are
-                # bounded by ``idle_timeout``.
-                return
-            except httpio.RequestTooLarge as exc:
-                # Counted as a submitted-and-rejected request: the
-                # accounting identity must cover every byte the socket saw.
-                self.metrics.counter("server.requests").inc()
-                self.metrics.counter("server.rejected.too_large").inc()
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(type=ERROR_TOO_LARGE, message=str(exc))
-                )
-                await self._send_envelope(writer, envelope, close=True)
-                # Discard a bounded slice of the unread body so closing the
-                # socket does not RST the envelope out of the client's
-                # receive buffer (large senders may still see a reset).
-                await self._discard(reader)
-                return
-            except httpio.ProtocolError as exc:
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(type=ERROR_BAD_REQUEST, message=str(exc))
-                )
-                await self._send_envelope(writer, envelope, close=True)
-                return
-            if request is None:
-                return  # clean EOF
-            keep_alive = request.keep_alive
-            if task is not None:
-                # Mark this connection busy: shutdown only force-cancels
-                # connections that are *between* requests; in-request ones
-                # get the drain-timeout grace first.
-                self._active_requests.add(task)
-            try:
-                try:
-                    body, status, content_type = await self._dispatch(request)
-                except asyncio.CancelledError:
-                    # Shutdown hit after the drain timeout while this
-                    # request was mid-flight: best-effort typed envelope,
-                    # then unwind.
-                    envelope = ResponseEnvelope.failure(
-                        ErrorInfo(
-                            type=ERROR_CANCELLED,
-                            message="solve cancelled by server shutdown",
-                        )
-                    )
-                    writer.write(
-                        httpio.render_response(
-                            envelope.http_status,
-                            envelope.to_json().encode("utf-8"),
-                            close=True,
-                        )
-                    )
-                    raise
-                except Exception as exc:  # noqa: BLE001 — last-resort boundary
-                    envelope = ResponseEnvelope.failure(
-                        ErrorInfo(
-                            type=ERROR_INTERNAL,
-                            message=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    body = envelope.to_json().encode("utf-8")
-                    status = envelope.http_status
-                    content_type = "application/json"
-                writer.write(
-                    httpio.render_response(
-                        status, body, content_type=content_type, close=not keep_alive
-                    )
-                )
-                await writer.drain()
-            finally:
-                if task is not None:
-                    self._active_requests.discard(task)
-            if not keep_alive:
-                return
-
-    @staticmethod
-    async def _discard(
-        reader: asyncio.StreamReader, limit: int = 1 << 16, budget: float = 0.25
-    ) -> None:
-        """Best-effort bounded drain of unread request bytes."""
-        loop = asyncio.get_running_loop()
-        end = loop.time() + budget
-        remaining = limit
-        try:
-            while remaining > 0:
-                timeout = end - loop.time()
-                if timeout <= 0:
-                    return
-                chunk = await asyncio.wait_for(
-                    reader.read(min(8192, remaining)), timeout=timeout
-                )
-                if not chunk:
-                    return
-                remaining -= len(chunk)
-        except (asyncio.TimeoutError, ConnectionError):
-            return
-
-    async def _send_envelope(
-        self,
-        writer: asyncio.StreamWriter,
-        envelope: ResponseEnvelope,
-        close: bool = False,
-    ) -> None:
-        writer.write(
-            httpio.render_response(
-                envelope.http_status,
-                envelope.to_json().encode("utf-8"),
-                close=close,
-            )
-        )
-        await writer.drain()
-
-    # ------------------------------------------------------------------ #
-    # routing
-    # ------------------------------------------------------------------ #
-
-    async def _dispatch(self, request: httpio.HttpRequest):
-        path = request.path
-        if path == "/healthz" and request.method == "GET":
-            return self._healthz()
-        if path == "/metrics" and request.method == "GET":
-            return self._metrics_endpoint()
-        if path == "/solve":
-            if request.method != "POST":
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(
-                        type=ERROR_BAD_REQUEST,
-                        message=f"/solve requires POST, got {request.method}",
-                    )
-                )
-                return envelope.to_json().encode("utf-8"), 405, "application/json"
-            envelope = await self._solve_endpoint(request)
-            return (
-                envelope.to_json().encode("utf-8"),
-                envelope.http_status,
-                "application/json",
-            )
-        if path.startswith("/session/"):
-            op = path[len("/session/"):]
-            if op in ("open", "assert", "push", "pop", "check", "close"):
-                if request.method != "POST":
-                    envelope = ResponseEnvelope.failure(
-                        ErrorInfo(
-                            type=ERROR_BAD_REQUEST,
-                            message=f"{path} requires POST, got {request.method}",
-                        )
-                    )
-                    return (
-                        envelope.to_json().encode("utf-8"),
-                        405,
-                        "application/json",
-                    )
-                envelope = await self._session_endpoint(request, op)
-                return (
-                    envelope.to_json().encode("utf-8"),
-                    envelope.http_status,
-                    "application/json",
-                )
-        body = json.dumps(
-            {"error": {"type": "not_found", "message": f"no route for {path}"}},
-            sort_keys=True,
-        ).encode("utf-8")
-        return body, 404, "application/json"
 
     # ------------------------------------------------------------------ #
     # endpoints
     # ------------------------------------------------------------------ #
 
-    def _healthz(self):
+    def _healthz(self) -> Reply:
         healthy = self.state is ServerState.SERVING
         payload = {
             "status": "ok" if healthy else str(self.state),
@@ -594,10 +291,9 @@ class SolverServer:
             "uptime_s": round(self.uptime, 3),
             **self.queue.snapshot(),
         }
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return body, (200 if healthy else 503), "application/json"
+        return json_reply(payload, 200 if healthy else 503)
 
-    def _metrics_endpoint(self):
+    async def _metrics(self) -> Reply:
         # The thread backend reads the shared cache; the process backend
         # aggregates its workers' local caches — one schema either way.
         stats = self.pool.cache_stats()
@@ -619,22 +315,24 @@ class SolverServer:
             },
             **self.metrics.export(),
         }
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return body, 200, "application/json"
+        return json_reply(payload)
 
-    async def _solve_endpoint(self, request: httpio.HttpRequest) -> ResponseEnvelope:
+    def _solve(self, request: httpio.HttpRequest) -> Awaitable[Reply]:
+        return self._accounted(self._solve_inner(request))
+
+    def _session(self, request: httpio.HttpRequest, op: str) -> Awaitable[Reply]:
+        return self._accounted(self._session_inner(request, op))
+
+    async def _accounted(self, work: Awaitable[ResponseEnvelope]) -> Reply:
+        """Count one request and answer it; anything unexpected is ``internal``."""
         self.metrics.counter("server.requests").inc()
         try:
-            return await self._solve_inner(request)
+            return reply(await work)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 — keep the accounting identity
             self.metrics.counter("server.internal").inc()
-            return ResponseEnvelope.failure(
-                ErrorInfo(
-                    type=ERROR_INTERNAL, message=f"{type(exc).__name__}: {exc}"
-                )
-            )
+            return error_reply(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}")
 
     async def _solve_inner(self, request: httpio.HttpRequest) -> ResponseEnvelope:
         # 1. request envelope
@@ -749,22 +447,6 @@ class SolverServer:
     # ------------------------------------------------------------------ #
     # sticky sessions (/session/*)
     # ------------------------------------------------------------------ #
-
-    async def _session_endpoint(
-        self, request: httpio.HttpRequest, op: str
-    ) -> ResponseEnvelope:
-        self.metrics.counter("server.requests").inc()
-        try:
-            return await self._session_inner(request, op)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — keep the accounting identity
-            self.metrics.counter("server.internal").inc()
-            return ResponseEnvelope.failure(
-                ErrorInfo(
-                    type=ERROR_INTERNAL, message=f"{type(exc).__name__}: {exc}"
-                )
-            )
 
     def _session_reject(
         self, error_type: str, message: str, *, request_id: Optional[str] = None
@@ -995,7 +677,7 @@ class SolverServer:
 # --------------------------------------------------------------------- #
 
 
-class BackgroundServer:
+class BackgroundServer(BackgroundService):
     """Run a :class:`SolverServer` on a daemon thread with its own loop.
 
     The context-manager form is what the test-suite and the load generator
@@ -1008,6 +690,8 @@ class BackgroundServer:
     ``port=0`` binds an ephemeral port; read it back from ``.port``.
     """
 
+    kind = "server"
+
     def __init__(
         self,
         config: Optional[ServerConfig] = None,
@@ -1015,85 +699,13 @@ class BackgroundServer:
         metrics: Optional[MetricsRegistry] = None,
         cache: Optional[CompileCache] = None,
     ) -> None:
-        self.config = config if config is not None else ServerConfig(port=0)
+        super().__init__(config if config is not None else ServerConfig(port=0))
         self._metrics = metrics
         self._cache = cache
-        self.server: Optional[SolverServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._port: Optional[int] = None
-
-    # -------------------------------------------------------------- #
 
     @property
-    def host(self) -> str:
-        return self.config.host
+    def server(self) -> Optional[SolverServer]:
+        return self.service
 
-    @property
-    def port(self) -> int:
-        if self._port is None:
-            raise RuntimeError("server not started")
-        return self._port
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        if self.server is None:
-            raise RuntimeError("server not started")
-        return self.server.metrics
-
-    def start(self) -> "BackgroundServer":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-server", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("server failed to start within 30 s")
-        if self._startup_error is not None:
-            raise RuntimeError("server failed to start") from self._startup_error
-        return self
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is None or self.server is None:
-            return
-        if not self._loop.is_closed():
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(), self._loop
-            )
-            try:
-                future.result(timeout=timeout)
-            except (asyncio.TimeoutError, TimeoutError):  # pragma: no cover
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "BackgroundServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-    # -------------------------------------------------------------- #
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - surfaced via start()
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self.server = SolverServer(
-            self.config, metrics=self._metrics, cache=self._cache
-        )
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._port = self.server.port
-        self._ready.set()
-        await self.server.serve_forever()
+    def _build(self) -> SolverServer:
+        return SolverServer(self.config, metrics=self._metrics, cache=self._cache)
