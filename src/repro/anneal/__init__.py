@@ -17,7 +17,6 @@ surrounding sampler ecosystem a hardware-ready stack needs:
   :class:`~repro.anneal.random_sampler.RandomSampler` — classical baselines.
 * :mod:`~repro.anneal.parallel` — multi-process portfolio and batched
   sampling.
-* :mod:`~repro.anneal.composites` — embedding/scale/truncate wrappers.
 """
 
 from repro.utils.lazy import lazy_exports
@@ -37,7 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.anneal.sqa": ("PathIntegralAnnealer",),
         "repro.anneal.exact": ("ExactSolver",),
         "repro.anneal.reverse": ("ReverseAnnealingSampler",),
-        "repro.anneal.population": ("PopulationAnnealingSampler",),
         "repro.anneal.tabu": ("TabuSampler",),
         "repro.anneal.greedy": ("SteepestDescentSampler",),
         "repro.anneal.random_sampler": ("RandomSampler",),
@@ -45,11 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ParallelSampler",
             "PortfolioSampler",
             "split_evenly",
-        ),
-        "repro.anneal.composites": (
-            "ScaleComposite",
-            "SpinReversalTransformComposite",
-            "TruncateComposite",
         ),
     },
 )

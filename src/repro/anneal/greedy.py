@@ -12,12 +12,10 @@ from typing import Any, Optional
 
 import numpy as np
 
-from typing import Union
-
 from repro.anneal.base import Sampler, resolve_initial_states
 from repro.anneal.sampleset import SampleSet
 from repro.qubo.model import QuboModel
-from repro.qubo.sparse import CsrMatrix, has_any_coupling, initial_local_fields
+from repro.qubo.sparse import CsrMatrix, flip_update
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["SteepestDescentSampler"]
@@ -26,16 +24,15 @@ __all__ = ["SteepestDescentSampler"]
 class SteepestDescentSampler(Sampler):
     """Vectorized best-improvement descent from random (or given) starts.
 
-    Supports both coupling forms (``coupling_mode``, default ``"auto"``);
-    the sparse path replaces each full-row field update with the flipped
-    variable's CSR row slice, preserving the dense descent trajectory.
+    Runs on the CSR coupling form: each step's flips (one per read)
+    update the local fields through the flipped variables' CSR row slices
+    in one :func:`~repro.qubo.sparse.flip_update`.
     """
 
     parameters = {
         "num_reads": "independent descents",
         "initial_states": "optional (R, n) starting states",
         "max_steps": "safety cap on flips per read (default 16 n)",
-        "coupling_mode": "'auto' | 'dense' | 'sparse' matrix form",
         "seed": "RNG seed",
     }
 
@@ -46,7 +43,6 @@ class SteepestDescentSampler(Sampler):
         num_reads: int = 32,
         initial_states: Optional[np.ndarray] = None,
         max_steps: Optional[int] = None,
-        coupling_mode: str = "auto",
         seed: SeedLike = None,
         **unknown: Any,
     ) -> SampleSet:
@@ -61,14 +57,13 @@ class SteepestDescentSampler(Sampler):
                 np.zeros((num_reads, 0), dtype=np.int8),
                 np.full(num_reads, model.offset),
             )
-        diag, coupling = model.sampler_form(mode=coupling_mode)
-        has_coupling = has_any_coupling(coupling)
+        diag, coupling = model.sampler_form()
         # Shared validator (also used by SA): rejects non-binary starting
         # states, which would otherwise leave the {0,1} domain through the
         # kernel's ^= 1 flips and score as garbage energies.
         states = resolve_initial_states(initial_states, num_reads, n, rng)
         cap = max_steps if max_steps is not None else 16 * n
-        steps = self._descend(states, diag, coupling, has_coupling, cap)
+        steps = self._descend(states, diag, coupling, cap)
         energies = model.energies(states)
         return SampleSet(
             states,
@@ -83,7 +78,6 @@ class SteepestDescentSampler(Sampler):
         num_reads: int = 32,
         initial_states: Optional[list] = None,
         max_steps: Optional[int] = None,
-        coupling_mode: str = "auto",
         seed: Any = None,
         **unknown: Any,
     ) -> list:
@@ -109,7 +103,6 @@ class SteepestDescentSampler(Sampler):
                 f"({tiled.num_blocks}), got {len(initial_states)}"
             )
         rngs = tiled.block_rngs(seed)
-        mode = tiled.resolve_coupling_mode(coupling_mode)
 
         caps = [0] * tiled.num_blocks
         block_states = []
@@ -127,14 +120,8 @@ class SteepestDescentSampler(Sampler):
         totals = [0] * tiled.num_blocks
 
         if nonempty:
-            diag, coupling = tiled.fused_sampler_form(mode)
-            has_coupling = has_any_coupling(coupling)
-            sparse = isinstance(coupling, CsrMatrix)
-            fields = (
-                initial_local_fields(states, coupling)
-                if has_coupling
-                else np.zeros_like(states, dtype=np.float64)
-            )
+            diag, coupling = tiled.fused_sampler_form()
+            fields = coupling.matmul_dense(states)
             rows_all = np.arange(num_reads)
             converged = [False] * tiled.num_blocks
             for step in range(max(caps)):
@@ -158,15 +145,7 @@ class SteepestDescentSampler(Sampler):
                     cols = best_var[rows] + sl.start
                     dxa = dx[rows, cols]
                     states[rows, cols] ^= 1
-                    if has_coupling:
-                        if sparse:
-                            for rr, cc, dd in zip(
-                                rows.tolist(), cols.tolist(), dxa.tolist()
-                            ):
-                                ccols, cvals = coupling.row(cc)
-                                fields[rr, ccols] += dd * cvals
-                        else:
-                            fields[rows] += dxa[:, None] * coupling[cols, :]
+                    flip_update(fields, coupling, rows, cols, dxa)
                     totals[k] += rows.size
 
         per_block_info = [
@@ -181,24 +160,16 @@ class SteepestDescentSampler(Sampler):
     def _descend(
         states: np.ndarray,
         diag: np.ndarray,
-        coupling: Union[np.ndarray, CsrMatrix],
-        has_coupling: bool,
+        coupling: CsrMatrix,
         max_steps: int,
     ) -> int:
         """Flip the best variable per read until all reads are local minima.
 
         Each outer iteration flips at most one variable in every still-active
-        read — all reads progress in lockstep, vectorized. Works on either
-        coupling form; the sparse branch touches only the CSR row slice of
-        each flipped variable.
+        read — all reads progress in lockstep, vectorized.
         """
         num_reads, n = states.shape
-        sparse = isinstance(coupling, CsrMatrix)
-        fields = (
-            initial_local_fields(states, coupling)
-            if has_coupling
-            else np.zeros_like(states, dtype=np.float64)
-        )
+        fields = coupling.matmul_dense(states)
         active = np.ones(num_reads, dtype=bool)
         total = 0
         for _ in range(max_steps):
@@ -213,14 +184,6 @@ class SteepestDescentSampler(Sampler):
             cols = best_var[rows]
             dxa = dx[rows, cols]
             states[rows, cols] ^= 1
-            if has_coupling:
-                if sparse:
-                    for rr, cc, dd in zip(
-                        rows.tolist(), cols.tolist(), dxa.tolist()
-                    ):
-                        ccols, cvals = coupling.row(cc)
-                        fields[rr, ccols] += dd * cvals
-                else:
-                    fields[rows] += dxa[:, None] * coupling[cols, :]
+            flip_update(fields, coupling, rows, cols, dxa)
             total += rows.size
         return total

@@ -15,9 +15,7 @@ Two composition patterns:
 Workers receive the model as its ``i <= j`` coefficient dict — never a
 dense matrix (``QuboModel.__getstate__`` likewise drops cached matrix
 views, so even a directly-pickled model ships O(nnz) bytes). Each worker
-rebuilds the model locally and the child sampler's ``coupling_mode="auto"``
-re-selects the CSR kernels there, so the sparse fast path survives the
-process boundary.
+rebuilds the model locally and builds its CSR sampler form there.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ per sweep, so samplers stay schedule-agnostic.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ __all__ = [
 
 
 def default_beta_range(
-    diagonal: np.ndarray, coupling: Union[np.ndarray, CsrMatrix]
+    diagonal: np.ndarray, coupling: CsrMatrix
 ) -> Tuple[float, float]:
     """Heuristic ``(beta_hot, beta_cold)`` from the model's energy scales.
 
@@ -40,22 +40,14 @@ def default_beta_range(
     diagonal:
         ``(n,)`` QUBO diagonal.
     coupling:
-        ``(n, n)`` symmetric off-diagonal matrix, or the CSR form
-        (:class:`~repro.qubo.sparse.CsrMatrix`) produced by
-        ``QuboModel.sampler_form(mode="sparse")``. Both forms yield the
-        same range (exactly so for integer-coefficient models — the
-        per-row sums only differ by the order zeros are skipped in).
+        The symmetric off-diagonal couplings in CSR form
+        (:class:`~repro.qubo.sparse.CsrMatrix`), as produced by
+        ``QuboModel.sampler_form()``.
     """
     diagonal = np.asarray(diagonal, dtype=np.float64)
-    if isinstance(coupling, CsrMatrix):
-        incident = coupling.abs_row_sums()
-        coupling_mags = np.abs(coupling.data)
-    else:
-        coupling = np.asarray(coupling, dtype=np.float64)
-        incident = np.abs(coupling).sum(axis=1)
-        coupling_mags = np.abs(coupling).ravel()
+    coupling_mags = np.abs(coupling.data)
     # Largest possible |delta E| per variable: |d_i| plus total incident coupling.
-    reach = np.abs(diagonal) + incident
+    reach = np.abs(diagonal) + coupling.abs_row_sums()
     max_reach = float(reach.max()) if reach.size else 1.0
     if max_reach <= 0.0:
         return 0.1, 1.0

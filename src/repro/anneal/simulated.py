@@ -24,18 +24,16 @@ NumPy idioms from the HPC guides:
   ``random`` calls left in Python.
 * The paper's per-variable random scan (``sweep_mode="random"``) stays
   available as the reference setting: with ``num_sweeps=256`` it is the
-  configuration the paper's experiments ran.
-* Both kernels run against either the dense ``(n, n)`` coupling matrix or
-  the CSR form (:class:`~repro.qubo.sparse.CsrMatrix`): the sparse path
-  replaces each full-row rank-1 update with a row-slice update over the
-  CSR indices, cutting the per-flip cost from ``O(R·n)`` to ``O(R·deg)``
-  while preserving the exact flip/accept order — results are bit-identical
-  to the dense path at a fixed seed for integer-coefficient models.
+  configuration the paper's experiments ran. It does not fuse: a tiled
+  scan is one solo anneal per block on the block's own stream.
+* Both kernels run on the CSR coupling form
+  (:class:`~repro.qubo.sparse.CsrMatrix`), the one every §4 QUBO suits:
+  a flip updates only its row's ``deg`` fields, ``O(R·deg)`` per flip.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +45,7 @@ from repro.anneal.schedule import (
     linear_schedule,
 )
 from repro.qubo.model import QuboModel
-from repro.qubo.sparse import CsrMatrix, has_any_coupling, initial_local_fields
+from repro.qubo.sparse import CsrMatrix
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["DEFAULT_NUM_SWEEPS", "SimulatedAnnealingSampler"]
@@ -85,11 +83,6 @@ class SimulatedAnnealingSampler(Sampler):
         ``"random"`` (fresh variable permutation per sweep — the paper's
         scan; ``num_sweeps=256`` is its reference setting) or
         ``"sequential"``.
-    coupling_mode:
-        ``"auto"`` (default), ``"dense"``, or ``"sparse"`` — forwarded to
-        :meth:`~repro.qubo.model.QuboModel.sampler_form`. Auto picks the
-        CSR kernels for large sparse models (every §4 string QUBO); the
-        forced modes exist for benchmarking and the bit-identity tests.
     initial_states:
         Optional ``(num_reads, n)`` array of {0,1} starting points.
     seed:
@@ -102,7 +95,6 @@ class SimulatedAnnealingSampler(Sampler):
         "beta_range": "(hot, cold) inverse temperatures",
         "beta_schedule": "'geometric' | 'linear' | explicit array",
         "sweep_mode": "'colored' | 'random' | 'sequential'",
-        "coupling_mode": "'auto' | 'dense' | 'sparse' matrix form",
         "initial_states": "optional (R, n) starting states",
         "seed": "RNG seed",
     }
@@ -116,7 +108,6 @@ class SimulatedAnnealingSampler(Sampler):
         beta_range: Optional[Tuple[float, float]] = None,
         beta_schedule: Union[str, Sequence[float], np.ndarray] = "geometric",
         sweep_mode: str = "colored",
-        coupling_mode: str = "auto",
         initial_states: Optional[np.ndarray] = None,
         seed: SeedLike = None,
         **unknown: Any,
@@ -131,23 +122,20 @@ class SimulatedAnnealingSampler(Sampler):
             states = np.zeros((num_reads, 0), dtype=np.int8)
             return SampleSet(states, np.full(num_reads, model.offset))
 
-        diag, coupling = model.sampler_form(mode=coupling_mode)
+        diag, coupling = model.sampler_form()
         betas = self._resolve_schedule(
             beta_schedule, beta_range, num_sweeps, diag, coupling
         )
 
         states = resolve_initial_states(initial_states, num_reads, n, rng)
-        has_coupling = has_any_coupling(coupling)
 
         if sweep_mode == "colored":
             # One block: every class is a single segment on the one stream.
             merged = [(cls, ((0, 0, cls.size),)) for cls in model.color_classes()]
-            self._anneal_classes(
-                states, diag, coupling, [betas], merged, [rng], has_coupling
-            )
+            self._anneal_classes(states, diag, coupling, [betas], merged, [rng])
         elif sweep_mode in ("random", "sequential"):
             self._anneal_scan(
-                states, diag, coupling, betas, rng, has_coupling, sweep_mode == "random"
+                states, diag, coupling, betas, rng, sweep_mode == "random"
             )
         else:
             raise ValueError(
@@ -163,9 +151,7 @@ class SimulatedAnnealingSampler(Sampler):
                 "num_sweeps": int(betas.shape[0]),
                 "beta_range": (float(betas[0]), float(betas[-1])),
                 "sweep_mode": sweep_mode,
-                "coupling_form": (
-                    "sparse" if isinstance(coupling, CsrMatrix) else "dense"
-                ),
+                "coupling_form": "sparse",
             },
         )
 
@@ -178,7 +164,6 @@ class SimulatedAnnealingSampler(Sampler):
         beta_range: Optional[Tuple[float, float]] = None,
         beta_schedule: Union[str, Sequence[float], np.ndarray] = "geometric",
         sweep_mode: str = "colored",
-        coupling_mode: str = "auto",
         initial_states: Optional[Sequence[Optional[np.ndarray]]] = None,
         seed: SeedLike = None,
         **unknown: Any,
@@ -201,8 +186,8 @@ class SimulatedAnnealingSampler(Sampler):
         bit-identical to ``sample_model(block,
         seed=tiled.block_rngs(seed)[k], sweep_mode="colored", ...)`` for
         integer-coefficient models. The scan modes (``"random"`` /
-        ``"sequential"``) run per-block on column views — trivially
-        equivalent, no fusion win.
+        ``"sequential"``) do not fuse: they run exactly that solo call
+        for each block.
 
         ``initial_states``, when given, is a length-K sequence of
         per-block arrays (entries may be None).
@@ -223,7 +208,25 @@ class SimulatedAnnealingSampler(Sampler):
                 f"({tiled.num_blocks}), got {len(initial_states)}"
             )
         rngs = tiled.block_rngs(seed)
-        mode = tiled.resolve_coupling_mode(coupling_mode)
+        inits: Sequence[Optional[np.ndarray]] = (
+            initial_states if initial_states is not None else [None] * tiled.num_blocks
+        )
+        if sweep_mode != "colored":
+            out: List[SampleSet] = []
+            for k, model in enumerate(tiled.models):
+                ss = self.sample_model(
+                    model,
+                    num_reads=num_reads,
+                    num_sweeps=num_sweeps,
+                    beta_range=beta_range,
+                    beta_schedule=beta_schedule,
+                    sweep_mode=sweep_mode,
+                    initial_states=inits[k],
+                    seed=rngs[k],
+                )
+                ss.info["tile"] = {"num_blocks": tiled.num_blocks, "block": k}
+                out.append(ss)
+            return out
 
         block_states = []
         betas: list = [None] * tiled.num_blocks
@@ -233,38 +236,21 @@ class SimulatedAnnealingSampler(Sampler):
             if n_k == 0:
                 block_states.append(np.zeros((num_reads, 0), dtype=np.int8))
                 continue
-            diag_k, coup_k = model.sampler_form(mode=mode)
+            diag_k, coup_k = model.sampler_form()
             betas[k] = self._resolve_schedule(
                 beta_schedule, beta_range, num_sweeps, diag_k, coup_k
             )
-            init = initial_states[k] if initial_states is not None else None
-            block_states.append(resolve_initial_states(init, num_reads, n_k, rngs[k]))
+            block_states.append(
+                resolve_initial_states(inits[k], num_reads, n_k, rngs[k])
+            )
             nonempty.append(k)
         states = np.hstack(block_states)
 
         if nonempty:
-            if sweep_mode == "colored":
-                classes = {k: tiled.models[k].color_classes() for k in nonempty}
-                merged = self._merge_classes(tiled, classes, nonempty)
-                diag, coupling = tiled.fused_sampler_form(mode)
-                self._anneal_classes(
-                    states, diag, coupling, betas, merged, rngs,
-                    has_any_coupling(coupling),
-                )
-            else:
-                for k in nonempty:
-                    diag_k, coup_k = tiled.models[k].sampler_form(mode=mode)
-                    # Column views: the scan kernel mutates the fused matrix
-                    # in place through them.
-                    self._anneal_scan(
-                        states[:, tiled.block_slice(k)],
-                        diag_k,
-                        coup_k,
-                        betas[k],
-                        rngs[k],
-                        has_any_coupling(coup_k),
-                        sweep_mode == "random",
-                    )
+            classes = {k: tiled.models[k].color_classes() for k in nonempty}
+            merged = self._merge_classes(tiled, classes, nonempty)
+            diag, coupling = tiled.fused_sampler_form()
+            self._anneal_classes(states, diag, coupling, betas, merged, rngs)
 
         per_block_info = []
         for k, model in enumerate(tiled.models):
@@ -278,7 +264,7 @@ class SimulatedAnnealingSampler(Sampler):
                     "num_sweeps": int(b.shape[0]),
                     "beta_range": (float(b[0]), float(b[-1])),
                     "sweep_mode": sweep_mode,
-                    "coupling_form": mode,
+                    "coupling_form": "sparse",
                 }
             )
         return tiled.build_samplesets(states, per_block_info=per_block_info)
@@ -318,11 +304,10 @@ class SimulatedAnnealingSampler(Sampler):
     def _anneal_classes(
         states: np.ndarray,
         diag: np.ndarray,
-        coupling: Union[np.ndarray, CsrMatrix],
+        coupling: CsrMatrix,
         betas: Sequence[Optional[np.ndarray]],
         merged: Sequence[Tuple[np.ndarray, Sequence[Tuple[int, int, int]]]],
         rngs: Sequence[np.random.Generator],
-        has_coupling: bool,
     ) -> None:
         """The colored kernel: independent-set batched updates. Mutates *states*.
 
@@ -358,17 +343,16 @@ class SimulatedAnnealingSampler(Sampler):
 
         * **Coupled models.** The field update is one rank-k product per
           class through an operator built once per anneal: the class's
-          row block of ``W[perm][:, perm]``, held as a contiguous dense
-          block or as a pre-transposed CSR applied as ``(op @ delta.T).T``
-          (the product SciPy's ``delta @ block`` computes, minus the
-          per-call transpose), ``O(R · nnz(class))``. Fields stay in the
-          ``(R, n)`` layout: a fused class gathers its fields into the
-          segment-major layout and scatters its ``delta`` back, so the
-          products are the same ones a solo anneal computes. In a fused
-          matrix the block-diagonal structure makes cross-block
-          contributions structurally absent (CSR) or exact zeros (dense),
-          so per-block results match a solo anneal bit-for-bit on
-          integer-coefficient models. A fused class evaluates
+          row block of ``W[perm][:, perm]``, held as a pre-transposed CSR
+          applied as ``(op @ delta.T).T`` (the product SciPy's
+          ``delta @ block`` computes, minus the per-call transpose),
+          ``O(R · nnz(class))``. Fields stay in the ``(R, n)`` layout: a
+          fused class gathers its fields into the segment-major layout
+          and scatters its ``delta`` back, so the products are the same
+          ones a solo anneal computes. In a fused matrix the
+          block-diagonal structure makes cross-block contributions
+          structurally absent, so per-block results match a solo anneal
+          bit-for-bit on integer-coefficient models. A fused class evaluates
           ``exp(clip(-β·ΔE, -700, 0))`` on every cell, each segment at its
           own ``β``; on the hot cells that is the value a solo anneal
           computes, and on the other real cells it is 1, which their zero
@@ -402,7 +386,7 @@ class SimulatedAnnealingSampler(Sampler):
             for (_, segments), (a, b) in zip(merged, spans)
         ]
 
-        if not has_coupling:
+        if not coupling.nnz:
             # The value of x_j at which a flip costs energy; 2 (never
             # matched) where d_j == 0, since those flips always accept.
             pref = np.where(d > 0, 0, np.where(d < 0, 1, 2)).astype(np.int8)
@@ -430,23 +414,17 @@ class SimulatedAnnealingSampler(Sampler):
             states[:, perm] = x
             return
 
-        fields = initial_local_fields(states, coupling)[:, perm]
-        sparse = isinstance(coupling, CsrMatrix)
-        if sparse:
-            import scipy.sparse as sp
+        import scipy.sparse as sp
 
-            w = sp.csr_array(
-                (coupling.data, coupling.indices, coupling.indptr), shape=coupling.shape
-            )[perm][:, perm]
-            # CSC -> CSR sorts each row's indices, so every field sums its
-            # class terms in the order ``delta @ block`` did. The products
-            # come out transposed: column-major fields make the update a
-            # contiguous add.
-            ops = [sp.csr_array(w[a:b].T) for a, b in spans]
-            fields = np.asfortranarray(fields)
-        else:
-            w = coupling[np.ix_(perm, perm)]
-            ops = [w[a:b] for a, b in spans]
+        w = sp.csr_array(
+            (coupling.data, coupling.indices, coupling.indptr), shape=coupling.shape
+        )[perm][:, perm]
+        # CSC -> CSR sorts each row's indices, so every field sums its
+        # class terms in the order ``delta @ block`` did. The products
+        # come out transposed: column-major fields make the update a
+        # contiguous add.
+        ops = [sp.csr_array(w[a:b].T) for a, b in spans]
+        fields = np.asfortranarray(coupling.matmul_dense(states)[:, perm])
         for _, _, _, fused in plans:
             if fused is not None:
                 fused.bind_fields(fields, d)
@@ -474,10 +452,7 @@ class SimulatedAnnealingSampler(Sampler):
                     delta = fused.flip_coupled(t, rngs)
                     if delta is None:
                         continue
-                if sparse:
-                    fields += (op @ delta.T).T
-                else:
-                    fields += delta @ op
+                fields += (op @ delta.T).T
         for _, _, _, fused in plans:
             if fused is not None:
                 fused.write_back(x)
@@ -487,26 +462,21 @@ class SimulatedAnnealingSampler(Sampler):
     def _anneal_scan(
         states: np.ndarray,
         diag: np.ndarray,
-        coupling: Union[np.ndarray, CsrMatrix],
+        coupling: CsrMatrix,
         betas: np.ndarray,
         rng: np.random.Generator,
-        has_coupling: bool,
         randomize: bool,
     ) -> None:
         """Per-variable scan, vectorized across reads. Mutates *states*.
 
-        Accepts either coupling form. The sparse branch performs the same
-        rank-1 field update restricted to the CSR row slice of the flipped
-        variable — identical RNG consumption and accept decisions, so at a
-        fixed seed it reproduces the dense kernel bit-for-bit on
-        integer-coefficient models.
+        An accepted flip updates the fields of its CSR row slice only.
         """
         num_reads, n = states.shape
-        fields = initial_local_fields(states, coupling) if has_coupling else None
-        sparse = isinstance(coupling, CsrMatrix)
+        has_coupling = coupling.nnz > 0
+        fields = coupling.matmul_dense(states) if has_coupling else None
         # Precompute the CSR row slices once: ~n tuple lookups per sweep
-        # would otherwise dominate the sparse inner loop.
-        rows = coupling.rows() if (sparse and has_coupling) else None
+        # would otherwise dominate the inner loop.
+        rows = coupling.rows() if has_coupling else None
         order = np.arange(n)
         for beta in betas:
             if randomize:
@@ -527,14 +497,9 @@ class SimulatedAnnealingSampler(Sampler):
                     continue
                 states[accept, i] ^= 1
                 if has_coupling:
-                    if sparse:
-                        cols, vals = rows[i]
-                        if cols.size:
-                            fields[np.ix_(accept, cols)] += (
-                                dx[accept, None] * vals[None, :]
-                            )
-                    else:
-                        fields[accept] += dx[accept, None] * coupling[i][None, :]
+                    cols, vals = rows[i]
+                    if cols.size:
+                        fields[np.ix_(accept, cols)] += dx[accept, None] * vals[None, :]
 
     # ------------------------------------------------------------------ #
     # setup helpers
@@ -546,7 +511,7 @@ class SimulatedAnnealingSampler(Sampler):
         beta_range: Optional[Tuple[float, float]],
         num_sweeps: int,
         diag: np.ndarray,
-        coupling: np.ndarray,
+        coupling: CsrMatrix,
     ) -> np.ndarray:
         if isinstance(beta_schedule, str):
             hot, cold = (

@@ -15,7 +15,7 @@ import numpy as np
 from repro.anneal.base import Sampler
 from repro.anneal.sampleset import SampleSet
 from repro.qubo.model import QuboModel
-from repro.qubo.sparse import CsrMatrix, has_any_coupling, initial_local_fields
+from repro.qubo.sparse import flip_update
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["TabuSampler"]
@@ -24,17 +24,15 @@ __all__ = ["TabuSampler"]
 class TabuSampler(Sampler):
     """Multi-start tabu search over the QUBO.
 
-    Runs against either the dense or the CSR coupling form
-    (``coupling_mode``, default ``"auto"``); accepted moves update the
-    local fields through the flipped variable's CSR row slice on the
-    sparse path, preserving the dense path's move order exactly.
+    Runs on the CSR coupling form: each step's accepted moves (one per
+    read) update the local fields through the flipped variables' CSR row
+    slices in one :func:`~repro.qubo.sparse.flip_update`.
     """
 
     parameters = {
         "num_reads": "independent searches",
         "num_steps": "moves per search (default 8 n)",
         "tenure": "tabu tenure in moves (default min(20, n-1), 0 when n == 1)",
-        "coupling_mode": "'auto' | 'dense' | 'sparse' matrix form",
         "seed": "RNG seed",
     }
 
@@ -45,7 +43,6 @@ class TabuSampler(Sampler):
         num_reads: int = 16,
         num_steps: Optional[int] = None,
         tenure: Optional[int] = None,
-        coupling_mode: str = "auto",
         seed: SeedLike = None,
         **unknown: Any,
     ) -> SampleSet:
@@ -71,15 +68,9 @@ class TabuSampler(Sampler):
         if not (0 <= tenure < max(n, 1)):
             raise ValueError(f"tenure must lie in [0, n), got {tenure}")
 
-        diag, coupling = model.sampler_form(mode=coupling_mode)
-        has_coupling = has_any_coupling(coupling)
-        sparse = isinstance(coupling, CsrMatrix)
+        diag, coupling = model.sampler_form()
         states = rng.integers(0, 2, size=(num_reads, n), dtype=np.int8)
-        fields = (
-            initial_local_fields(states, coupling)
-            if has_coupling
-            else np.zeros((num_reads, n))
-        )
+        fields = coupling.matmul_dense(states)
         energies = model.energies(states)
 
         best_states = states.copy()
@@ -105,16 +96,7 @@ class TabuSampler(Sampler):
                 dxa = dx[r, c]
                 states[r, c] ^= 1
                 energies[r] += move_delta[ok]
-                if has_coupling:
-                    if sparse:
-                        # One flipped variable per read: row-slice updates.
-                        for rr, cc, dd in zip(
-                            r.tolist(), c.tolist(), dxa.tolist()
-                        ):
-                            cols, vals = coupling.row(cc)
-                            fields[rr, cols] += dd * vals
-                    else:
-                        fields[r] += dxa[:, None] * coupling[c, :]
+                flip_update(fields, coupling, r, c, dxa)
                 expire[r, c] = step + 1 + tenure
                 improved = energies[r] < best_energies[r] - 1e-12
                 if improved.any():
@@ -131,7 +113,6 @@ class TabuSampler(Sampler):
                 "sampler": "TabuSampler",
                 "num_steps": steps,
                 "tenure": tenure,
-                "coupling_form": "sparse" if sparse else "dense",
             },
         )
 
@@ -142,7 +123,6 @@ class TabuSampler(Sampler):
         num_reads: int = 16,
         num_steps: Optional[int] = None,
         tenure: Optional[int] = None,
-        coupling_mode: str = "auto",
         seed: Any = None,
         **unknown: Any,
     ) -> list:
@@ -164,7 +144,6 @@ class TabuSampler(Sampler):
         if tiled.num_blocks == 0:
             return []
         rngs = tiled.block_rngs(seed)
-        mode = tiled.resolve_coupling_mode(coupling_mode)
         sizes = np.asarray(tiled.sizes, dtype=np.int64)
         num_blocks = tiled.num_blocks
 
@@ -199,7 +178,6 @@ class TabuSampler(Sampler):
                 "sampler": "TabuSampler",
                 "num_steps": steps_per_block[k],
                 "tenure": tenure_per_block[k],
-                "coupling_form": mode,
             }
             if tiled.models[k].num_variables
             else {}
@@ -208,15 +186,9 @@ class TabuSampler(Sampler):
         if not nonempty:
             return tiled.build_samplesets(states, per_block_info=per_block_info)
 
-        diag, coupling = tiled.fused_sampler_form(mode)
-        has_coupling = has_any_coupling(coupling)
-        sparse = isinstance(coupling, CsrMatrix)
+        diag, coupling = tiled.fused_sampler_form()
         n_total = tiled.num_variables
-        fields = (
-            initial_local_fields(states, coupling)
-            if has_coupling
-            else np.zeros((num_reads, n_total))
-        )
+        fields = coupling.matmul_dense(states)
         # Per-read, per-block running and best energies: the repeat() below
         # broadcasts them back to fused column space each step.
         energies_rb = np.zeros((num_reads, num_blocks))
@@ -252,13 +224,7 @@ class TabuSampler(Sampler):
                 dxa = dx[r, c]
                 states[r, c] ^= 1
                 energies_rb[r, k] += move_delta[ok]
-                if has_coupling:
-                    if sparse:
-                        for rr, cc, dd in zip(r.tolist(), c.tolist(), dxa.tolist()):
-                            cols, vals = coupling.row(cc)
-                            fields[rr, cols] += dd * vals
-                    else:
-                        fields[r] += dxa[:, None] * coupling[c, :]
+                flip_update(fields, coupling, r, c, dxa)
                 expire[r, c] = step + 1 + tenure_per_block[k]
                 improved = energies_rb[r, k] < best_rb[r, k] - 1e-12
                 if improved.any():
@@ -267,3 +233,4 @@ class TabuSampler(Sampler):
                     best_rb[ri, k] = energies_rb[ri, k]
 
         return tiled.build_samplesets(best_states, per_block_info=per_block_info)
+

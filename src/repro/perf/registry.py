@@ -14,8 +14,8 @@ Suites map 1:1 onto the committed baseline files:
   (compile → build → anneal → decode) over the paper's §4.1–§4.12
   operator families, via :class:`~repro.smt.solver.QuantumSMTSolver` and
   :class:`~repro.core.solver.StringQuboSolver`;
-* ``sparse``  → ``BENCH_sparse.json``  — the raw annealing kernels
-  (dense vs CSR coupling forms) from PR 2;
+* ``sparse``  → ``BENCH_sparse.json``  — the raw colored annealing
+  kernel on CSR-coupled palindrome QUBOs;
 * ``service`` → ``BENCH_service.json`` — the batch service layer
   (compile cache cold/warm, serial/threaded executors);
 * ``incremental`` → ``BENCH_incremental.json`` — push/pop session
@@ -44,7 +44,7 @@ Workload kinds understood by the runner:
 * ``solve``  — one :mod:`repro.core` formulation driven by
   :class:`StringQuboSolver`;
 * ``kernel`` — one :class:`SimulatedAnnealingSampler` call on a prebuilt
-  model with a forced ``coupling_mode``;
+  palindrome model;
 * ``batch``  — one :class:`~repro.service.batch.BatchSolver` batch over a
   script workload, cold or warm compile cache;
 * ``session`` — incremental :class:`~repro.smt.session.SolverSession`
@@ -244,50 +244,22 @@ register(BenchmarkSpec(
     description="§4.11 regex membership a[bc]+d at n=8",
 ))
 
-# sparse — raw kernel throughput, dense vs CSR --------------------------
-
-register(BenchmarkSpec(
-    name="kernel-dense-n32",
-    suite="sparse",
-    kind="kernel",
-    params={
-        "length": 32, "coupling_mode": "dense",
-        "num_reads": 64, "num_sweeps": 100, "seed": 2025,
-    },
-    description="dense coupling kernel, palindrome n=32 (224 vars)",
-))
+# sparse — raw kernel throughput on CSR couplings -----------------------
 
 register(BenchmarkSpec(
     name="kernel-sparse-n32",
     suite="sparse",
     kind="kernel",
-    params={
-        "length": 32, "coupling_mode": "sparse",
-        "num_reads": 64, "num_sweeps": 100, "seed": 2025,
-    },
+    params={"length": 32, "num_reads": 64, "num_sweeps": 100, "seed": 2025},
     description="CSR coupling kernel, palindrome n=32 (224 vars)",
-))
-
-register(BenchmarkSpec(
-    name="kernel-dense-n64",
-    suite="sparse",
-    kind="kernel",
-    params={
-        "length": 64, "coupling_mode": "dense",
-        "num_reads": 64, "num_sweeps": 80, "seed": 2025,
-    },
-    description="dense coupling kernel at the auto-select point (448 vars)",
 ))
 
 register(BenchmarkSpec(
     name="kernel-sparse-n64",
     suite="sparse",
     kind="kernel",
-    params={
-        "length": 64, "coupling_mode": "sparse",
-        "num_reads": 64, "num_sweeps": 80, "seed": 2025,
-    },
-    description="CSR coupling kernel at the auto-select point (448 vars)",
+    params={"length": 64, "num_reads": 64, "num_sweeps": 80, "seed": 2025},
+    description="CSR coupling kernel, palindrome n=64 (448 vars)",
 ))
 
 # service — batch layer: compile cache and worker pool ------------------

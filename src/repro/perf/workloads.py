@@ -78,17 +78,16 @@ class Workload:
 # --------------------------------------------------------------------- #
 
 
-def _model_metadata(model, coupling_form: str = "auto") -> Dict[str, Any]:
+def _model_metadata(model) -> Dict[str, Any]:
     from repro.qubo.sparse import sparse_stats
 
     stats = sparse_stats(model.to_dict(), model.num_variables)
-    if coupling_form == "auto":
-        coupling_form = "sparse" if stats.auto_sparse else "dense"
     return {
         "num_variables": int(model.num_variables),
         "coupling_nnz": int(stats.coupling_nnz),
         "density": round(float(stats.density), 6),
-        "coupling_form": coupling_form,
+        # Every sampler kernel runs on the CSR form.
+        "coupling_form": "sparse",
     }
 
 
@@ -182,8 +181,7 @@ def _build_kernel(spec: BenchmarkSpec) -> Workload:
 
     p = dict(spec.params)
     model = PalindromeGeneration(int(p["length"])).build_model()
-    mode = str(p["coupling_mode"])
-    metadata = _model_metadata(model, coupling_form=mode)
+    metadata = _model_metadata(model)
 
     def run(metrics: MetricsRegistry) -> Dict[str, Any]:
         sampler = SimulatedAnnealingSampler()
@@ -193,13 +191,12 @@ def _build_kernel(spec: BenchmarkSpec) -> Workload:
                 num_reads=int(p["num_reads"]),
                 num_sweeps=int(p["num_sweeps"]),
                 seed=int(p["seed"]),
-                coupling_mode=mode,
             )
         metrics.counter("kernel.reads").inc(len(sampleset))
         return {
             "states_digest": _state_digest(sampleset.states),
             "best_energy": round(float(sampleset.first.energy), _ENERGY_DECIMALS),
-            "coupling_form": sampleset.info.get("coupling_form", mode),
+            "coupling_form": sampleset.info["coupling_form"],
         }
 
     return Workload(spec, run, metadata)

@@ -11,9 +11,8 @@ This subpackage is a from-scratch replacement for the parts of D-Wave's
 * :mod:`~repro.qubo.ising` — exact QUBO ↔ Ising transforms.
 * :mod:`~repro.qubo.energy` — batched energy kernels (the hot path shared by
   every sampler).
-* :mod:`~repro.qubo.sparse` — CSR sampler form and ``O(R · nnz)`` kernels
-  for the bit-local string QUBOs (auto-selected by
-  ``QuboModel.sampler_form(mode="auto")``).
+* :mod:`~repro.qubo.sparse` — the CSR sampler form every sampler kernel
+  runs on, and ``O(R · nnz)`` kernels for the bit-local string QUBOs.
 * :mod:`~repro.qubo.algebra` — model composition: add, scale, shift, relabel,
   fix variables.
 """

@@ -10,15 +10,15 @@ Design notes
 ------------
 * Coefficients are stored as an ``i <= j`` dict while the model is being
   built (cheap incremental updates, exact bookkeeping), and materialized into
-  dense NumPy arrays *or* a CSR sampler form on demand. Both views are
+  a dense NumPy matrix *or* the CSR sampler form on demand. Both views are
   cached and invalidated on mutation — samplers hit the cached arrays,
   builders hit the dict. Cached matrix views are **read-only**: mutating a
   returned array would silently corrupt every later energy evaluation, so
   callers that need a scratch matrix must copy.
-* ``sampler_form(mode="auto")`` picks the CSR path for large, sparse models
-  (every §4 string QUBO at useful lengths) and the dense path otherwise;
-  the two paths are bit-identical at a fixed seed for integer-coefficient
-  models (see :mod:`repro.qubo.sparse`).
+* ``sampler_form()`` is the one coupling form every sampler kernel runs
+  on: the diagonal plus the symmetric off-diagonal couplings in CSR (see
+  :mod:`repro.qubo.sparse`). The dense matrix serves only ``energies()``
+  on small or dense models.
 * ``color_classes()`` caches the independent sets the colored anneal
   kernel flips together, so retries, restarts and compile-cache hits
   colour each model once.
@@ -32,17 +32,12 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.qubo.energy import qubo_energies
-from repro.qubo.matrix import (
-    dense_from_dict,
-    dict_from_dense,
-    split_diagonal,
-    to_upper_triangular,
-)
+from repro.qubo.matrix import dense_from_dict, dict_from_dense, to_upper_triangular
 from repro.qubo.sparse import (
     CsrMatrix,
     coupling_density,
@@ -258,35 +253,18 @@ class QuboModel:
         return self._density_cache
 
     def prefers_sparse(self) -> bool:
-        """Whether ``sampler_form(mode="auto")`` selects the CSR path."""
+        """Whether :meth:`energies` scores through the CSR energy kernel.
+
+        Only the energy kernel is chosen by size and density; every sampler
+        kernel runs on the CSR form whatever this returns.
+        """
         return prefers_sparse(self._n, self.coupling_density())
 
-    def sampler_form(
-        self, mode: str = "auto"
-    ) -> Tuple[np.ndarray, Union[np.ndarray, CsrMatrix]]:
-        """``(diagonal, symmetric off-diagonal)`` operators for SA kernels.
+    def sampler_form(self) -> Tuple[np.ndarray, CsrMatrix]:
+        """``(diagonal, symmetric off-diagonal CSR)`` for the sampler kernels.
 
-        Parameters
-        ----------
-        mode:
-            ``"auto"`` (default) returns the CSR form when the model is
-            large and sparse (``prefers_sparse()``, the regime of every §4
-            string QUBO) and the dense form otherwise; ``"dense"`` /
-            ``"sparse"`` force one path. The sparse coupling is a
-            :class:`~repro.qubo.sparse.CsrMatrix`; both paths produce
-            bit-identical sampler results at a fixed seed for
-            integer-coefficient models.
+        Cached; the diagonal and the CSR arrays are read-only.
         """
-        if mode not in ("auto", "dense", "sparse"):
-            raise ValueError(
-                f"mode must be 'auto', 'dense' or 'sparse', got {mode!r}"
-            )
-        if mode == "sparse" or (mode == "auto" and self.prefers_sparse()):
-            return self._sparse_form()
-        return split_diagonal(self.to_dense())
-
-    def _sparse_form(self) -> Tuple[np.ndarray, CsrMatrix]:
-        """The cached ``(diagonal, CsrMatrix)`` form (arrays read-only)."""
         if self._sparse_cache is None:
             self._sparse_cache = sparse_sampler_form(self._coeffs, self._n)
         return self._sparse_cache
@@ -316,13 +294,13 @@ class QuboModel:
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Vectorized energies for a batch of states (shape ``(R, n)``).
 
-        Follows the same auto-selection as :meth:`sampler_form`: sparse
-        models are scored through the ``O(R · nnz)`` CSR kernel, dense
-        ones through the ``O(R · n²)`` einsum kernel. Both agree exactly
-        on integer-coefficient models and to ~1e-9 otherwise.
+        Large sparse models (:meth:`prefers_sparse`) are scored through
+        the ``O(R · nnz)`` CSR kernel, the others through the ``O(R · n²)``
+        einsum kernel. Both agree exactly on integer-coefficient models
+        and to ~1e-9 otherwise.
         """
         if self.prefers_sparse():
-            diag, coupling = self._sparse_form()
+            diag, coupling = self.sampler_form()
             return qubo_energies_csr(states, diag, coupling, self._offset)
         return qubo_energies(states, self.to_dense(), self._offset)
 

@@ -3,35 +3,38 @@
 The paper's §4 formulations are *bit-local*: a length-*n* string becomes
 ``7 n`` binary variables whose couplings are diagonal ±A patterns, mirrored
 palindrome pairs, or small one-hot indicator cliques. The resulting QUBOs
-have O(n) nonzeros, yet the dense sampler form (``split_diagonal(to_dense())``)
-pays O(n²) memory and O(R·n²) work per solve. This module provides the
-sparse execution path:
+have O(n) nonzeros, so every sampler kernel runs on the CSR form of the
+coupling matrix. This module provides it:
 
 * :class:`CsrMatrix` — a lightweight, picklable CSR container for the
   symmetric zero-diagonal coupling matrix ``W`` (the same object every
   incremental-field kernel consumes);
 * :func:`sparse_sampler_form` — build ``(diagonal, CsrMatrix)`` straight
   from the ``i <= j`` coefficient dict, never materializing ``n × n``;
+* :func:`flip_update` — the field update of the tabu and descent
+  samplers, which flip one variable per read per step;
 * :func:`qubo_energies_csr` — batched energies in ``O(R · nnz)``;
 * :func:`sparse_stats` / :func:`coupling_density` — density diagnostics
-  driving the ``mode="auto"`` selection in
-  :meth:`repro.qubo.model.QuboModel.sampler_form`.
+  driving :meth:`repro.qubo.model.QuboModel.energies`' choice between this
+  energy kernel and the dense einsum one.
 
 Exactness contract
 ------------------
-For models whose coefficients and partial sums are exactly representable
-(every §4 string formulation with integer A — the paper fixes A = 1), the
-sparse kernels are **bit-identical** to the dense ones at a fixed seed: the
-same flips are proposed in the same order, the local fields take the same
-float64 values, and the returned sample sets compare equal array-for-array.
-For arbitrary float coefficients the two paths agree up to floating-point
-associativity (≤ 1e-9 in practice; see the property tests).
+Every field update adds each coupling term once, as ``±W[i, j]``, so for
+models whose coefficients and partial sums are exactly representable
+(every §4 string formulation with integer A — the paper fixes A = 1) the
+fields hold the same float64 values in whatever order the terms arrive.
+The fixed-seed digest suites (``tests/anneal/test_colored_digests.py`` and
+the fused≡solo suites) pin the kernels' results, including on models that
+ran the former dense ``(n, n)`` form. The two energy kernels agree exactly
+on integer-coefficient models and up to floating-point associativity
+otherwise (see the property tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -44,8 +47,7 @@ __all__ = [
     "SparseStats",
     "coupling_density",
     "csr_from_coefficients",
-    "has_any_coupling",
-    "initial_local_fields",
+    "flip_update",
     "prefers_sparse",
     "qubo_energies_csr",
     "sparse_sampler_form",
@@ -54,15 +56,15 @@ __all__ = [
 
 PairDict = Mapping[Tuple[int, int], float]
 
-#: Auto-select the sparse path when the symmetric off-diagonal density is at
-#: most this fraction of the full ``n (n-1)`` coupling slots. String QUBOs
-#: sit far below it (a length-64 palindrome is ~0.2% dense); random dense
-#: test models sit far above.
+#: Score energies with the CSR kernel when the symmetric off-diagonal
+#: density is at most this fraction of the full ``n (n-1)`` coupling slots.
+#: String QUBOs sit far below it (a length-64 palindrome is ~0.2% dense);
+#: random dense test models sit far above.
 SPARSE_DENSITY_THRESHOLD = 0.1
 
-#: ... and when the model has at least this many variables. Below this the
-#: dense kernels are at worst a few microseconds slower and the dense form
-#: keeps the historical, maximally-simple code path.
+#: ... and when the model has at least this many variables. Below it the
+#: einsum energy kernel is used; the two round differently on non-integer
+#: models, and recorded digests hash energies.
 SPARSE_MIN_VARIABLES = 64
 
 
@@ -181,8 +183,13 @@ class CsrMatrix:
         return self._scipy_cache
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """``x @ W`` for a dense batch ``x`` of shape ``(R, rows)``."""
+        """``x @ W`` for a dense batch ``x`` of shape ``(R, rows)``.
+
+        An empty matrix gives zeros without loading SciPy.
+        """
         x = np.asarray(x, dtype=np.float64)
+        if not self.nnz:
+            return np.zeros(x.shape[:-1] + (self.shape[1],))
         return np.asarray(x @ self._as_scipy())
 
     def abs_row_sums(self) -> np.ndarray:
@@ -312,24 +319,39 @@ def qubo_energies_csr(
 
 
 # ------------------------------------------------------------------ #
-# kernel dispatch helpers (shared by the SA / tabu / greedy samplers)
+# single-flip field updates (shared by the tabu / descent samplers)
 # ------------------------------------------------------------------ #
 
 
-def has_any_coupling(coupling: Union[np.ndarray, CsrMatrix]) -> bool:
-    """Whether the coupling operator has any nonzero entry (either form)."""
-    if isinstance(coupling, CsrMatrix):
-        return coupling.nnz > 0
-    return bool(np.any(coupling))
+def flip_update(
+    fields: np.ndarray,
+    coupling: CsrMatrix,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    signs: np.ndarray,
+) -> None:
+    """``fields[r] += s · W[c]`` for each flip ``(r, c, s)``, in place.
 
-
-def initial_local_fields(
-    states: np.ndarray, coupling: Union[np.ndarray, CsrMatrix]
-) -> np.ndarray:
-    """``states @ W`` for a dense or CSR coupling — the field warm start."""
-    if isinstance(coupling, CsrMatrix):
-        return coupling.matmul_dense(states)
-    return states @ coupling
+    ``rows`` must be distinct — one flipped variable per read, as in tabu
+    and steepest descent — so no ``(read, column)`` cell is written twice
+    and one fancy-index add is exact. Each flipped row's CSR slice is
+    gathered with ``repeat``/``arange``; every cell receives the single
+    product ``s · W[c, j]`` a per-read loop over the row slices would add.
+    """
+    if not coupling.nnz:
+        return
+    starts = coupling.indptr[cols]
+    counts = coupling.indptr[cols + 1] - starts
+    total = int(counts.sum())
+    if not total:
+        return
+    # Position of every gathered entry in indices/data: each row's start,
+    # plus its offset within the row.
+    ends = np.cumsum(counts)
+    pos = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    fields[np.repeat(rows, counts), coupling.indices[pos]] += (
+        np.repeat(signs, counts) * coupling.data[pos]
+    )
 
 
 # ------------------------------------------------------------------ #
@@ -353,7 +375,7 @@ def coupling_density(coefficients: PairDict, num_variables: int) -> float:
 
 
 def prefers_sparse(num_variables: int, density: float) -> bool:
-    """The ``mode="auto"`` heuristic: big enough *and* sparse enough."""
+    """Whether energies use the CSR kernel: big enough *and* sparse enough."""
     return (
         num_variables >= SPARSE_MIN_VARIABLES
         and density <= SPARSE_DENSITY_THRESHOLD
@@ -371,7 +393,7 @@ class SparseStats:
     max_degree: int
     dense_nbytes: int  # (n, n) float64 coupling + (n,) diagonal
     sparse_nbytes: int  # CSR triplet + diagonal
-    auto_sparse: bool
+    auto_sparse: bool  # energies use the CSR kernel
 
     @property
     def memory_ratio(self) -> float:

@@ -10,10 +10,9 @@ embeddings on one chip and annealing them together (the
 * :func:`tile_models` builds a :class:`TiledProblem` from K independent
   :class:`~repro.qubo.model.QuboModel`\\ s. The fused model is the
   block-diagonal direct sum — variable indices shifted by per-block
-  offsets, constant offsets summed, couplings composed densely
-  (``out[s:e, s:e] = block``) or in CSR form by pure nnz concatenation
-  (indptr segments shifted by the running nnz count, indices by the
-  block's variable offset).
+  offsets, constant offsets summed, and the CSR couplings composed by
+  pure nnz concatenation (indptr segments shifted by the running nnz
+  count, indices by the block's variable offset).
 * :meth:`TiledProblem.split` turns a fused :class:`SampleSet` back into K
   per-block sample sets with per-block energies.
 * :meth:`TiledProblem.block_rngs` derives one RNG stream per block, keyed
@@ -46,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.qubo.model import QuboModel
-from repro.qubo.sparse import CsrMatrix, prefers_sparse
+from repro.qubo.sparse import CsrMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (anneal -> qubo)
     from repro.anneal.sampleset import SampleSet
@@ -109,7 +108,7 @@ class TiledProblem:
     Holds the block layout (``starts[k] : starts[k+1]`` is block *k*'s
     column range in the fused variable space), the per-block content
     hashes that key the batch-invariant RNG streams, and lazy fused views
-    (full :class:`QuboModel` and composed sampler forms).
+    (full :class:`QuboModel` and the composed sampler form).
     """
 
     __slots__ = (
@@ -118,7 +117,7 @@ class TiledProblem:
         "starts",
         "block_hashes",
         "_fused_model",
-        "_fused_forms",
+        "_fused_form",
     )
 
     def __init__(self, models: Iterable[QuboModel]) -> None:
@@ -137,7 +136,7 @@ class TiledProblem:
             model_content_hash(m) for m in self.models
         )
         self._fused_model: Optional[QuboModel] = None
-        self._fused_forms: dict = {}
+        self._fused_form: Optional[Tuple[np.ndarray, CsrMatrix]] = None
 
     # -------------------------------------------------------------- #
     # layout
@@ -184,92 +183,42 @@ class TiledProblem:
             self._fused_model = QuboModel(self.num_variables, coeffs, offset)
         return self._fused_model
 
-    def resolve_coupling_mode(self, mode: str = "auto") -> str:
-        """Concrete ``"dense"`` / ``"sparse"`` choice for the *fused* form.
-
-        ``"auto"`` applies the same size/density heuristic as
-        :meth:`QuboModel.sampler_form`, evaluated on the fused matrix —
-        tiling drives density toward zero (cross-block slots are empty),
-        so fused solves lean sparse sooner than their blocks would alone.
-        """
-        if mode not in ("auto", "dense", "sparse"):
-            raise ValueError(f"mode must be 'auto', 'dense' or 'sparse', got {mode!r}")
-        if mode != "auto":
-            return mode
-        return "sparse" if prefers_sparse(self.num_variables, self.fused_density()) else "dense"
-
-    def fused_density(self) -> float:
-        """Off-diagonal density of the fused coupling matrix."""
-        n = self.num_variables
-        if n < 2:
-            return 0.0
-        pairs = sum(
-            1
-            for model in self.models
-            for i, j, _ in model.iter_coefficients()
-            if i != j
-        )
-        return 2.0 * pairs / (n * (n - 1))
-
-    def fused_sampler_form(
-        self, mode: str = "auto"
-    ) -> Tuple[np.ndarray, Union[np.ndarray, CsrMatrix]]:
-        """Composed ``(diagonal, coupling)`` sampler form for the fused model.
+    def fused_sampler_form(self) -> Tuple[np.ndarray, CsrMatrix]:
+        """Composed ``(diagonal, CSR coupling)`` sampler form of the fused model.
 
         Built from the per-block cached forms, not from the fused
-        coefficient dict: the diagonal is a concatenation, the dense
-        coupling a block-diagonal fill, and the CSR coupling a pure nnz
-        concatenation (per-block indptr segments shifted by the running
-        nnz count, column indices by the block's variable offset). Each
-        fused CSR row is therefore the *same entries in the same order*
-        as the block's own row — the property the bit-identity of fused
-        sparse field updates rests on.
+        coefficient dict: the diagonal is a concatenation and the CSR
+        coupling a pure nnz concatenation (per-block indptr segments
+        shifted by the running nnz count, column indices by the block's
+        variable offset). Each fused CSR row is therefore the *same
+        entries in the same order* as the block's own row — the property
+        the bit-identity of fused field updates rests on.
         """
-        mode = self.resolve_coupling_mode(mode)
-        cached = self._fused_forms.get(mode)
-        if cached is not None:
-            return cached
+        if self._fused_form is not None:
+            return self._fused_form
         n = self.num_variables
-        forms = [model.sampler_form(mode=mode) for model in self.models]
+        forms = [model.sampler_form() for model in self.models]
         diag = (
             np.concatenate([f[0] for f in forms])
             if forms
             else np.zeros(0, dtype=np.float64)
         )
         diag.setflags(write=False)
-        if mode == "sparse":
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            indices_parts: List[np.ndarray] = []
-            data_parts: List[np.ndarray] = []
-            nnz = 0
-            for (_, coupling), start in zip(forms, self.starts):
-                s = int(start)
-                indptr[s + 1 : s + coupling.shape[0] + 1] = coupling.indptr[1:] + nnz
-                indices_parts.append(coupling.indices + s)
-                data_parts.append(coupling.data)
-                nnz += coupling.nnz
-            indices = (
-                np.concatenate(indices_parts)
-                if indices_parts
-                else np.zeros(0, dtype=np.int64)
-            )
-            data = (
-                np.concatenate(data_parts)
-                if data_parts
-                else np.zeros(0, dtype=np.float64)
-            )
-            fused_coupling: Union[np.ndarray, CsrMatrix] = CsrMatrix(
-                indptr, indices, data, (n, n)
-            )
-        else:
-            dense = np.zeros((n, n), dtype=np.float64)
-            for (_, coupling), start, size in zip(forms, self.starts, self.sizes):
-                s = int(start)
-                dense[s : s + size, s : s + size] = coupling
-            dense.setflags(write=False)
-            fused_coupling = dense
-        self._fused_forms[mode] = (diag, fused_coupling)
-        return diag, fused_coupling
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indices_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        data_parts: List[np.ndarray] = [np.zeros(0, dtype=np.float64)]
+        nnz = 0
+        for (_, coupling), start in zip(forms, self.starts):
+            s = int(start)
+            indptr[s + 1 : s + coupling.shape[0] + 1] = coupling.indptr[1:] + nnz
+            indices_parts.append(coupling.indices + s)
+            data_parts.append(coupling.data)
+            nnz += coupling.nnz
+        coupling = CsrMatrix(
+            indptr, np.concatenate(indices_parts), np.concatenate(data_parts), (n, n)
+        )
+        self._fused_form = (diag, coupling)
+        return self._fused_form
 
     # -------------------------------------------------------------- #
     # batch-invariant RNG streams

@@ -22,8 +22,8 @@ cache and metrics are internally locked; per-item solvers are private to
 their worker. Compiled models travel between cache and workers as
 coefficient-dict-backed :class:`~repro.qubo.model.QuboModel` objects —
 dense/CSR matrix views are lazy, read-only, and excluded from pickling —
-and every sampler's ``coupling_mode="auto"`` selects the sparse CSR
-kernels for the bit-local string QUBOs this service batches.
+and every sampler kernel runs on the CSR form, which the bit-local
+string QUBOs this service batches suit.
 """
 
 from __future__ import annotations

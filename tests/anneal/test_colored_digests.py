@@ -8,16 +8,20 @@ pin that the rewrite consumes the RNG in the same order and makes the
 same accept decisions on:
 
 * an uncoupled model (the acceptance-table branch);
-* a coupled weighted-opt QUBO with non-integer coefficients, in both
-  coupling forms;
+* a coupled weighted-opt QUBO with non-integer coefficients;
 * a model whose colour classes are not in index order (a non-trivial
   column permutation);
 * a fused tile mixing coupled and uncoupled blocks, with initial states
   for some blocks;
-* two tiles of at least sixteen blocks (one uncoupled, one coupled in
-  both forms) whose merged classes have many segments of unequal width,
+* two tiles of at least sixteen blocks (one uncoupled, one coupled)
+  whose merged classes have many segments of unequal width,
   recorded with the per-segment Metropolis loop before the kernel moved
-  to a segment-major layout for fused classes.
+  to a segment-major layout for fused classes;
+* compiled check-sat and weighted-opt models with couplings and fewer
+  than 64 variables, and tiles of them, at the library defaults. These
+  were recorded while such models still ran the dense ``(n, n)``
+  coupling form (the old size heuristic's choice below 64 variables),
+  before every kernel moved to CSR.
 """
 
 import hashlib
@@ -28,8 +32,9 @@ import pytest
 from repro.anneal.simulated import SimulatedAnnealingSampler
 from repro.opt.weighted import compile_weighted
 from repro.qubo.model import QuboModel
-from repro.qubo.sparse import has_any_coupling
 from repro.qubo.tile import tile_models
+from repro.smt.compiler import compile_assertions
+from repro.smt.generator import InstanceGenerator
 from repro.smt.parser import parse_script
 
 WEIGHTED_SCRIPT = """
@@ -110,6 +115,34 @@ def _wide_coupled_models():
     return models
 
 
+def _compiled_models(indices, soft=None):
+    """The check-sat models of ``InstanceGenerator(ops="all", ...,
+    seed=3)`` at the given draw indices, each compiled at its index."""
+    gen = InstanceGenerator(ops="all", min_length=3, max_length=5, seed=3, soft=soft)
+    instances = [gen.generate() for _ in range(max(indices) + 1)]
+    if soft:
+        return [
+            compile_weighted(
+                list(instances[i].assertions),
+                list(instances[i].soft_assertions),
+                seed=i,
+            ).formulations["x"].build_model()
+            for i in indices
+        ]
+    return [
+        compile_assertions(list(instances[i].assertions), seed=i)
+        .formulations["x"]
+        .build_model()
+        for i in indices
+    ]
+
+
+def _switched_models():
+    """Three coupled check-sat models (41, 41 and 55 variables) and one
+    coupled weighted-opt model (55 variables)."""
+    return _compiled_models([10, 38, 74]) + _compiled_models([10], soft=2)
+
+
 def _multi_segment_widths(models):
     """Per merged class rank, the class widths of the blocks taking part."""
     classes = [m.color_classes() for m in models]
@@ -122,13 +155,13 @@ class TestPreconditions:
 
     def test_uncoupled_model_has_no_coupling(self):
         model = _uncoupled_model()
-        assert not has_any_coupling(model.sampler_form()[1])
+        assert model.sampler_form()[1].nnz == 0
         assert len(model.color_classes()) == 1
 
     def test_weighted_model_is_coupled_and_non_integer(self):
         model = _weighted_opt_model()
         values = np.array(list(model.to_dict().values()))
-        assert has_any_coupling(model.sampler_form(mode="sparse")[1])
+        assert model.sampler_form()[1].nnz
         assert not np.array_equal(values, np.round(values))
 
     def test_star_classes_are_out_of_index_order(self):
@@ -150,10 +183,17 @@ class TestPreconditions:
         assert {1, 2, 3} <= counts
         widths = _multi_segment_widths(models)
         assert len(widths[0]) == len(models) > len(widths[-1]) > 1
-        uncoupled = [m for m in models if not has_any_coupling(m.sampler_form()[1])]
+        uncoupled = [m for m in models if not m.sampler_form()[1].nnz]
         assert uncoupled and all(
             np.any(m.sampler_form()[0] == 0.0) for m in uncoupled
         )
+
+
+    def test_switched_models_are_small_and_coupled(self):
+        models = _switched_models() + _compiled_models([4])
+        assert [m.num_variables for m in models] == [41, 41, 55, 55, 21]
+        assert all(m.num_interactions for m in models[:4])
+        assert models[4].num_interactions == 0
 
 
 class TestSoloDigests:
@@ -165,24 +205,17 @@ class TestSoloDigests:
             "4620278a23602c708507a9776f5329583005de3cc2dc44627bdbfd6dfd95494d"
         )
 
-    @pytest.mark.parametrize("mode", ["dense", "sparse"])
-    def test_weighted_opt_qubo(self, mode):
+    def test_weighted_opt_qubo(self):
         ss = SimulatedAnnealingSampler().sample_model(
-            _weighted_opt_model(),
-            num_reads=64,
-            num_sweeps=64,
-            coupling_mode=mode,
-            seed=11,
+            _weighted_opt_model(), num_reads=64, num_sweeps=64, seed=11
         )
-        assert ss.info["coupling_form"] == mode
         assert _digest(ss) == (
             "e07fb56daa201a730ef9a1a820209f94eb99d89bbce00652534dcd7a96360edf"
         )
 
-    @pytest.mark.parametrize("mode", ["dense", "sparse"])
-    def test_classes_out_of_index_order(self, mode):
+    def test_classes_out_of_index_order(self):
         ss = SimulatedAnnealingSampler().sample_model(
-            _star_model(), num_reads=16, num_sweeps=48, coupling_mode=mode, seed=2
+            _star_model(), num_reads=16, num_sweeps=48, seed=2
         )
         assert _digest(ss) == (
             "0dce517854d6c62b0494aa6733a24bda5d4f9b420036c6bec9d43d0f09cdc457"
@@ -190,8 +223,7 @@ class TestSoloDigests:
 
 
 class TestTiledDigests:
-    @pytest.mark.parametrize("mode", ["dense", "sparse"])
-    def test_mixed_tile_with_initial_states(self, mode):
+    def test_mixed_tile_with_initial_states(self):
         reads = 16
         models = [
             _uncoupled_model(9),
@@ -206,7 +238,6 @@ class TestTiledDigests:
             tile_models(models),
             num_reads=reads,
             num_sweeps=40,
-            coupling_mode=mode,
             initial_states=[np.ones((reads, 9)), None, weighted_init, None],
             seed=8,
         )
@@ -250,8 +281,7 @@ class TestTiledDigests:
             "475390e6674da3f22cb76a4c4a7a3070874a25dcefacdfd047167d0f426bf661"
         )
 
-    @pytest.mark.parametrize("mode", ["dense", "sparse"])
-    def test_wide_coupled_tile(self, mode):
+    def test_wide_coupled_tile(self):
         models = _wide_coupled_models()
         reads = 12
         initial = [
@@ -264,10 +294,59 @@ class TestTiledDigests:
             tile_models(models),
             num_reads=reads,
             num_sweeps=24,
-            coupling_mode=mode,
             initial_states=initial,
             seed=21,
         )
         assert _digest(*results) == (
             "b66c09fdea1f6c83c71d6b72feb6b3e58baf4a01e58b396258aea57920674b67"
+        )
+
+
+class TestSwitchedModelDigests:
+    """Models that ran the dense coupling form under the old auto default."""
+
+    @pytest.mark.parametrize(
+        "index, expected",
+        [
+            (0, "62258a9719d048887613b6548590ceb6c3d3eb47344de4c6dbbf8799f267501f"),
+            (1, "16df38edd541512efad32f0d9ff9860dc264f5a9c9ebdf08a7decbec35c8f3da"),
+            (2, "2dae7c760c0b8ab22ff1e029e96b298e87c524aa8cc72362003fcf15361be830"),
+            (3, "14b9e985c177a89e752782a941c38575902c16d4554ad10be06ee5ca0e2befa0"),
+        ],
+        ids=["check_sat_10", "check_sat_38", "check_sat_74", "weighted_10"],
+    )
+    def test_solo(self, index, expected):
+        ss = SimulatedAnnealingSampler().sample_model(
+            _switched_models()[index], num_reads=32, num_sweeps=64, seed=9
+        )
+        assert _digest(ss) == expected
+
+    def test_solo_random_scan(self):
+        ss = SimulatedAnnealingSampler().sample_model(
+            _switched_models()[0],
+            num_reads=16,
+            num_sweeps=256,
+            sweep_mode="random",
+            seed=9,
+        )
+        assert _digest(ss) == (
+            "ec6d66f3fd15365a8d2c4325eea66682bd473ad9bc51edcaef24cd644ceab4a1"
+        )
+
+    def test_tile_of_all_four(self):
+        results = SimulatedAnnealingSampler().sample_tiled(
+            tile_models(_switched_models()), num_reads=16, num_sweeps=32, seed=4
+        )
+        assert _digest(*results) == (
+            "d838bb6208329deb2cce281af555f6c67a1371f2ca80e8a3a32ff931c608bb37"
+        )
+
+    def test_tile_mixing_coupled_and_uncoupled(self):
+        # 41 + 21 variables: small enough that the fused form was dense.
+        models = [_switched_models()[0], _compiled_models([4])[0]]
+        results = SimulatedAnnealingSampler().sample_tiled(
+            tile_models(models), num_reads=16, num_sweeps=32, seed=4
+        )
+        assert _digest(*results) == (
+            "7e81ac65e612085f0b02be00f66960b116d9ceeb5e3f02ce82bda53ca08c4e79"
         )

@@ -71,25 +71,22 @@ class TestDegenerateSizes:
 @pytest.mark.parametrize(
     "sampler_cls", [SimulatedAnnealingSampler, TabuSampler, SteepestDescentSampler]
 )
-@pytest.mark.parametrize("mode", ["dense", "sparse"])
-class TestCouplingModes:
-    def test_single_variable_both_modes(self, sampler_cls, mode):
+class TestSmallModels:
+    def test_single_variable(self, sampler_cls):
         result = sampler_cls().sample_model(
             QuboModel(1, ONE_VAR),
             num_reads=4,
-            coupling_mode=mode,
             seed=4,
             **fast_params(sampler_cls),
         )
         assert result.first.energy == -1.0
 
-    def test_diagonal_only_model(self, sampler_cls, mode):
+    def test_diagonal_only_model(self, sampler_cls):
         # No off-diagonal couplings at all: the field-update fast paths
         # must not assume nnz > 0.
         result = sampler_cls().sample_model(
             QuboModel(3, {(0, 0): -1.0, (1, 1): 2.0, (2, 2): -0.5}),
             num_reads=4,
-            coupling_mode=mode,
             seed=5,
             **fast_params(sampler_cls),
         )

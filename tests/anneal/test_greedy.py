@@ -4,6 +4,8 @@ import pytest
 from repro.anneal.greedy import SteepestDescentSampler
 from repro.anneal.exact import ExactSolver
 from repro.qubo.model import QuboModel
+from repro.qubo.tile import tile_models
+from tests.anneal.test_colored_digests import _compiled_models, _digest, _switched_models
 
 
 class TestSteepestDescent:
@@ -14,7 +16,7 @@ class TestSteepestDescent:
         # At a local minimum no single flip improves.
         diag, coupling = m.sampler_form()
         for state in ss.states:
-            fields = state @ coupling
+            fields = coupling.matmul_dense(state)
             dx = 1.0 - 2.0 * state
             deltas = dx * (diag + fields)
             assert np.all(deltas >= -1e-9)
@@ -77,3 +79,33 @@ class TestSteepestDescent:
             SteepestDescentSampler().sample_model(
                 QuboModel(2), num_reads=1, initial_states=np.zeros((2, 2))
             )
+
+
+class TestSwitchedModelDigests:
+    """Fixed-seed digests recorded while models under 64 variables ran
+    the dense coupling form, before descent moved to the CSR flip update."""
+
+    def test_solo_check_sat_model(self):
+        ss = SteepestDescentSampler().sample_model(
+            _switched_models()[0], num_reads=16, seed=5
+        )
+        assert _digest(ss) == (
+            "3aa56819a27bbf9dc2670edf0f61b11df8dfb80fd771be2697c2c803a2dcaf6f"
+        )
+
+    def test_solo_weighted_model(self):
+        ss = SteepestDescentSampler().sample_model(
+            _switched_models()[3], num_reads=16, seed=5
+        )
+        assert _digest(ss) == (
+            "4e8f03ddf40fbd2297fdbc66aaf71d1f08a90845996cd9ce965e17edfc4f31c8"
+        )
+
+    def test_tiled(self):
+        models = [_switched_models()[0], _compiled_models([4])[0]]
+        results = SteepestDescentSampler().sample_tiled(
+            tile_models(models), num_reads=16, seed=5
+        )
+        assert _digest(*results) == (
+            "e4df2597400b0dee11352b4ff6ad6ceb4413af6b732aeb35feaa00d9f0faf355"
+        )

@@ -7,25 +7,26 @@ from repro.anneal.schedule import (
     linear_schedule,
     transverse_field_schedule,
 )
+from repro.qubo.sparse import csr_from_coefficients
 
 
 class TestDefaultBetaRange:
     def test_orders_hot_below_cold(self):
         d = np.array([1.0, -2.0, 0.5])
-        w = np.zeros((3, 3))
+        w = csr_from_coefficients({}, 3)
         hot, cold = default_beta_range(d, w)
         assert 0 < hot < cold
 
     def test_couplings_extend_reach(self):
         d = np.ones(2)
-        w0 = np.zeros((2, 2))
-        w1 = np.array([[0.0, 5.0], [5.0, 0.0]])
+        w0 = csr_from_coefficients({}, 2)
+        w1 = csr_from_coefficients({(0, 1): 5.0}, 2)
         hot0, _ = default_beta_range(d, w0)
         hot1, _ = default_beta_range(d, w1)
         assert hot1 < hot0  # larger energy scale -> hotter start
 
     def test_all_zero_model(self):
-        hot, cold = default_beta_range(np.zeros(3), np.zeros((3, 3)))
+        hot, cold = default_beta_range(np.zeros(3), csr_from_coefficients({}, 3))
         assert 0 < hot < cold
 
 

@@ -4,6 +4,8 @@ import pytest
 from repro.anneal.exact import ExactSolver
 from repro.anneal.tabu import TabuSampler
 from repro.qubo.model import QuboModel
+from repro.qubo.tile import tile_models
+from tests.anneal.test_colored_digests import _compiled_models, _digest, _switched_models
 
 
 def _random_model(seed, n=10):
@@ -68,3 +70,27 @@ class TestTabuSampler:
         ss = TabuSampler().sample_model(_random_model(6, 4), num_reads=2, seed=0)
         assert ss.info["sampler"] == "TabuSampler"
         assert "tenure" in ss.info
+
+
+class TestSwitchedModelDigests:
+    """Fixed-seed digests recorded while models under 64 variables ran
+    the dense coupling form, before tabu moved to the CSR flip update."""
+
+    def test_solo_check_sat_model(self):
+        ss = TabuSampler().sample_model(_switched_models()[0], num_reads=8, seed=5)
+        assert _digest(ss) == (
+            "5373159a0211ddbe2de1696ed7c4ffb2904ab107dbb947babd5ea3924eda97ea"
+        )
+
+    def test_solo_weighted_model(self):
+        ss = TabuSampler().sample_model(_switched_models()[3], num_reads=8, seed=5)
+        assert _digest(ss) == (
+            "0ecab400698080ae4a6fc425186f7b3051d10bd83b4464498c6d555cc789880f"
+        )
+
+    def test_tiled(self):
+        models = [_switched_models()[0], _compiled_models([4])[0]]
+        results = TabuSampler().sample_tiled(tile_models(models), num_reads=8, seed=5)
+        assert _digest(*results) == (
+            "0ecdfe7e069a0ced8d6626b197759dd3b468c4d672b155d4714253825158017c"
+        )

@@ -72,19 +72,14 @@ FUSED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("mode", ["dense", "sparse"])
 @pytest.mark.parametrize(
     "sampler_cls,params", FUSED_CASES, ids=lambda c: getattr(c, "__name__", None)
 )
-def test_fused_matches_solo(sampler_cls, params, mode):
+def test_fused_matches_solo(sampler_cls, params):
     models = mixed_models()
     tiled = tile_models(models)
     sampler = sampler_cls()
     kwargs = dict(params)
-    if "coupling_mode" in type(sampler).parameters:
-        kwargs["coupling_mode"] = mode
-    elif mode == "sparse":
-        pytest.skip("sampler has no coupling modes")
     results = sampler.sample_tiled(tiled, seed=SEED, **kwargs)
     assert len(results) == len(models)
     for k, model in enumerate(models):

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.anneal import (
-    PopulationAnnealingSampler,
-    ReverseAnnealingSampler,
-    SimulatedAnnealingSampler,
-)
+from repro.anneal import ReverseAnnealingSampler, SimulatedAnnealingSampler
 from repro.core import (
     ConstraintPipeline,
     PipelineStage,
@@ -39,25 +35,6 @@ class TestRefinementFlow:
         assert refined.first.energy <= rough.first.energy + 1e-9
         decoded = f.decode(refined.first.state(refined.variables))
         assert decoded == "refine me"
-
-    def test_population_annealing_drives_pipeline(self):
-        solver = StringQuboSolver(
-            sampler=PopulationAnnealingSampler(),
-            num_reads=48,
-            seed=2,
-            sampler_params={"num_steps": 24},
-        )
-        pipeline = ConstraintPipeline(
-            [
-                PipelineStage("reverse", lambda prev: StringReversal(prev)),
-                PipelineStage(
-                    "replace", lambda prev: StringReplaceAll(prev, "o", "0")
-                ),
-            ]
-        )
-        result = pipeline.run(solver, initial="loop")
-        assert result.output == "p00l"
-        assert result.ok
 
 
 class TestPersistenceFlow:

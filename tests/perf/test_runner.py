@@ -40,10 +40,7 @@ def _tiny_kernel_spec():
         name="tiny-kernel",
         suite="sparse",
         kind="kernel",
-        params={
-            "length": 4, "coupling_mode": "dense",
-            "num_reads": 8, "num_sweeps": 32, "seed": 3,
-        },
+        params={"length": 4, "num_reads": 8, "num_sweeps": 32, "seed": 3},
     )
 
 
@@ -66,7 +63,7 @@ class TestRunSpec:
     def test_metadata_model_shape(self):
         result = run_spec(_tiny_kernel_spec(), repeats=1, warmup=0)
         assert result.metadata["num_variables"] == 28  # 7 bits x 4 chars
-        assert result.metadata["coupling_form"] == "dense"
+        assert result.metadata["coupling_form"] == "sparse"
         assert result.counters.get("kernel.reads") == 8
 
     def test_determinism_across_invocations(self):

@@ -1,14 +1,11 @@
 """Properties of the sparse (CSR) kernel path.
 
-Two layers of guarantees:
-
 * **energies** — ``qubo_energies_csr`` agrees with the dense kernel to
   1e-9 on arbitrary random models (floating-point associativity is the
   only difference), and *exactly* on integer-coefficient string models;
-* **sampling** — at a fixed seed, the sparse incremental-field kernels
-  return sample sets **bit-identical** to the dense ones, across all three
-  sweep modes and across the tabu / greedy samplers, on the paper's string
-  QUBOs.
+* **sampling** — the colored and sequential sweeps both solve a string
+  QUBO to its ground energy. The sampler kernels run only on CSR; their
+  fixed-seed results are pinned by the digest suites.
 """
 
 import numpy as np
@@ -16,10 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.anneal.greedy import SteepestDescentSampler
 from repro.anneal.simulated import SimulatedAnnealingSampler
-from repro.anneal.tabu import TabuSampler
-from repro.core import PalindromeGeneration, StringEquality
+from repro.core import PalindromeGeneration
 from repro.qubo.energy import qubo_energies
 from repro.qubo.model import QuboModel
 from repro.qubo.sparse import qubo_energies_csr, sparse_sampler_form
@@ -61,71 +56,6 @@ class TestEnergyEquivalence:
         dense = qubo_energies(states, model.to_dense(), model.offset)
         sparse = qubo_energies_csr(states, diag, csr, model.offset)
         np.testing.assert_array_equal(sparse, dense)
-
-
-def _assert_identical(dense_set, sparse_set):
-    np.testing.assert_array_equal(dense_set.states, sparse_set.states)
-    np.testing.assert_array_equal(dense_set.energies, sparse_set.energies)
-    np.testing.assert_array_equal(
-        dense_set.num_occurrences, sparse_set.num_occurrences
-    )
-
-
-def _string_models():
-    return [
-        PalindromeGeneration(8).build_model(),
-        StringEquality("bit-identical").build_model(),
-    ]
-
-
-class TestKernelBitIdentity:
-    @pytest.mark.parametrize("sweep_mode", ["random", "sequential", "colored"])
-    def test_sa_sparse_identical_to_dense(self, sweep_mode):
-        for model in _string_models():
-            runs = {}
-            for mode in ("dense", "sparse"):
-                runs[mode] = SimulatedAnnealingSampler().sample_model(
-                    model,
-                    num_reads=12,
-                    num_sweeps=80,
-                    sweep_mode=sweep_mode,
-                    coupling_mode=mode,
-                    seed=42,
-                )
-                assert runs[mode].info["coupling_form"] == mode
-            _assert_identical(runs["dense"], runs["sparse"])
-
-    def test_tabu_sparse_identical_to_dense(self):
-        model = PalindromeGeneration(6).build_model()
-        dense = TabuSampler().sample_model(
-            model, num_reads=6, seed=11, coupling_mode="dense"
-        )
-        sparse = TabuSampler().sample_model(
-            model, num_reads=6, seed=11, coupling_mode="sparse"
-        )
-        _assert_identical(dense, sparse)
-
-    def test_greedy_sparse_identical_to_dense(self):
-        model = PalindromeGeneration(6).build_model()
-        dense = SteepestDescentSampler().sample_model(
-            model, num_reads=6, seed=12, coupling_mode="dense"
-        )
-        sparse = SteepestDescentSampler().sample_model(
-            model, num_reads=6, seed=12, coupling_mode="sparse"
-        )
-        _assert_identical(dense, sparse)
-
-    def test_auto_mode_picks_sparse_and_stays_identical(self):
-        # 64 characters -> 448 variables: firmly in the auto-sparse regime.
-        model = PalindromeGeneration(64).build_model()
-        auto = SimulatedAnnealingSampler().sample_model(
-            model, num_reads=4, num_sweeps=30, seed=21
-        )
-        assert auto.info["coupling_form"] == "sparse"
-        dense = SimulatedAnnealingSampler().sample_model(
-            model, num_reads=4, num_sweeps=30, seed=21, coupling_mode="dense"
-        )
-        _assert_identical(dense, auto)
 
 
 class TestColoredVsSequential:

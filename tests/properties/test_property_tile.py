@@ -84,8 +84,8 @@ def test_greedy_fused_equals_solo(models, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(models=model_lists, seed=seeds, mode=st.sampled_from(["dense", "sparse"]))
-def test_sa_fused_equals_solo_explicit_modes(models, seed, mode):
+@given(models=model_lists, seed=seeds)
+def test_sa_fused_equals_solo_explicit_modes(models, seed):
     assert_tile_matches_solo(
         SimulatedAnnealingSampler(),
         models,
@@ -93,5 +93,4 @@ def test_sa_fused_equals_solo_explicit_modes(models, seed, mode):
         num_reads=3,
         num_sweeps=16,
         sweep_mode="colored",
-        coupling_mode=mode,
     )

@@ -106,7 +106,8 @@ class TestMatrixViews:
         m = QuboModel(2)
         m.set_linear(0, 3.0)
         m.set_quadratic(0, 1, 2.0)
-        d, w = m.sampler_form()
+        d, csr = m.sampler_form()
+        w = csr.to_dense()
         np.testing.assert_array_equal(d, [3.0, 0.0])
         assert w[0, 1] == w[1, 0] == 2.0
         assert w[0, 0] == 0.0

@@ -151,8 +151,8 @@ class TestNewerModelShapes:
             6, {(0, 0): -1.0, (0, 5): 2.0, (1, 4): -0.5, (2, 3): 1.25}
         )
         restored = qubo_from_dict(qubo_to_dict(m))
-        diag, coupling = m.sampler_form(mode="sparse")
-        rdiag, rcoupling = restored.sampler_form(mode="sparse")
+        diag, coupling = m.sampler_form()
+        rdiag, rcoupling = restored.sampler_form()
         np.testing.assert_array_equal(diag, rdiag)
         assert coupling == rcoupling
         assert coupling.nnz == rcoupling.nnz

@@ -1,9 +1,9 @@
 """Unit tests for the sparse (CSR) QUBO path.
 
-Covers the CSR container itself, the builders, the batched energy kernel,
-the density diagnostics driving ``mode="auto"``, and the model-level
-integration (``sampler_form`` / ``energies`` / read-only ``to_dense`` /
-cache-free pickling).
+Covers the CSR container itself, the builders, the single-flip field
+update, the batched energy kernel, the density diagnostics driving the
+energy-kernel choice, and the model-level integration (``sampler_form`` /
+``energies`` / read-only ``to_dense`` / cache-free pickling).
 """
 
 import pickle
@@ -21,8 +21,7 @@ from repro.qubo.sparse import (
     CsrMatrix,
     coupling_density,
     csr_from_coefficients,
-    has_any_coupling,
-    initial_local_fields,
+    flip_update,
     prefers_sparse,
     qubo_energies_csr,
     sparse_sampler_form,
@@ -88,7 +87,7 @@ class TestCsrMatrix:
     def test_empty_coupling(self):
         csr = csr_from_coefficients({(0, 0): 1.0, (1, 1): -1.0}, 2)
         assert csr.nnz == 0
-        assert not has_any_coupling(csr)
+        np.testing.assert_array_equal(csr.matmul_dense(np.ones((3, 2))), np.zeros((3, 2)))
         np.testing.assert_allclose(csr.to_dense(), np.zeros((2, 2)))
         np.testing.assert_allclose(csr.abs_row_sums(), np.zeros(2))
 
@@ -144,16 +143,30 @@ class TestEnergiesCsr:
         with pytest.raises(ValueError):
             qubo_energies_csr(np.zeros((3, 5)), diag, csr)
 
-    def test_initial_local_fields_both_forms(self):
+
+
+class TestFlipUpdate:
+    def test_matches_dense_row_updates(self):
         model = _random_model(8, n=8)
-        diag, csr = sparse_sampler_form(model.to_dict(), 8)
+        _, csr = sparse_sampler_form(model.to_dict(), 8)
         _, w = split_diagonal(model.to_dense())
-        states = np.random.default_rng(9).integers(0, 2, size=(4, 8)).astype(float)
-        np.testing.assert_allclose(
-            initial_local_fields(states, csr),
-            initial_local_fields(states, w),
-            atol=1e-12,
-        )
+        fields = np.random.default_rng(9).normal(size=(5, 8))
+        rows = np.array([0, 2, 3, 4])
+        cols = np.array([5, 5, 0, 7])
+        signs = np.array([1.0, -1.0, -1.0, 1.0])
+        expected = fields.copy()
+        expected[rows] += signs[:, None] * w[cols]
+        flip_update(fields, csr, rows, cols, signs)
+        np.testing.assert_array_equal(fields, expected)
+
+    def test_empty_rows_and_no_flips(self):
+        csr = csr_from_coefficients({(0, 1): 2.0}, 3)
+        fields = np.zeros((2, 3))
+        flip_update(fields, csr, np.array([0]), np.array([2]), np.array([1.0]))
+        flip_update(fields, csr, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
+        np.testing.assert_array_equal(fields, np.zeros((2, 3)))
+        flip_update(fields, csr, np.array([1]), np.array([0]), np.array([-1.0]))
+        np.testing.assert_array_equal(fields, [[0, 0, 0], [0, -2.0, 0]])
 
 
 class TestAutoSelection:
@@ -164,14 +177,16 @@ class TestAutoSelection:
             assert model.num_variables >= SPARSE_MIN_VARIABLES
             assert model.coupling_density() <= SPARSE_DENSITY_THRESHOLD
             assert model.prefers_sparse()
-            _, coupling = model.sampler_form("auto")
+            _, coupling = model.sampler_form()
             assert isinstance(coupling, CsrMatrix)
 
     def test_small_models_stay_dense(self):
+        # Small models keep the dense energy kernel; their sampler form is
+        # CSR like every other model's.
         model = PalindromeGeneration(4).build_model()  # 28 variables
         assert not model.prefers_sparse()
-        _, coupling = model.sampler_form("auto")
-        assert isinstance(coupling, np.ndarray)
+        _, coupling = model.sampler_form()
+        assert isinstance(coupling, CsrMatrix)
 
     def test_dense_random_models_stay_dense(self):
         n = SPARSE_MIN_VARIABLES + 8
@@ -180,17 +195,15 @@ class TestAutoSelection:
         assert model.coupling_density() > SPARSE_DENSITY_THRESHOLD
         assert not model.prefers_sparse()
 
-    def test_forced_modes(self):
+    def test_sampler_form_matches_dense_split(self):
         model = PalindromeGeneration(4).build_model()
-        _, sparse = model.sampler_form("sparse")
+        diag_s, sparse = model.sampler_form()
         assert isinstance(sparse, CsrMatrix)
-        diag_d, dense = model.sampler_form("dense")
-        assert isinstance(dense, np.ndarray)
-        diag_s, _ = model.sampler_form("sparse")
+        diag_d, dense = split_diagonal(model.to_dense())
         np.testing.assert_array_equal(diag_s, diag_d)
         np.testing.assert_allclose(sparse.to_dense(), dense)
-        with pytest.raises(ValueError):
-            model.sampler_form("csr")
+        with pytest.raises(TypeError):
+            model.sampler_form("sparse")
 
     def test_prefers_sparse_thresholds(self):
         assert prefers_sparse(SPARSE_MIN_VARIABLES, SPARSE_DENSITY_THRESHOLD)
@@ -227,10 +240,10 @@ class TestModelIntegration:
     def test_mutation_invalidates_all_caches(self):
         model = PalindromeGeneration(4).build_model().copy()
         before_dense = model.to_dense()
-        before_diag, _ = model.sampler_form("sparse")
+        before_diag, _ = model.sampler_form()
         model.add_linear(0, 3.0)
         after_dense = model.to_dense()
-        after_diag, _ = model.sampler_form("sparse")
+        after_diag, _ = model.sampler_form()
         assert after_dense[0, 0] == before_dense[0, 0] + 3.0
         assert after_diag[0] == before_diag[0] + 3.0
         assert model.coupling_density() == pytest.approx(
@@ -240,7 +253,7 @@ class TestModelIntegration:
     def test_pickle_drops_matrix_caches(self):
         model = _random_model(12)
         model.to_dense()
-        model.sampler_form("sparse")
+        model.sampler_form()
         clone = pickle.loads(pickle.dumps(model))
         assert clone == model
         assert clone._dense_cache is None
@@ -258,7 +271,7 @@ class TestModelIntegration:
         states = np.random.default_rng(14).integers(
             0, 2, size=(8, model.num_variables)
         )
-        diag, csr = model.sampler_form("sparse")
+        diag, csr = model.sampler_form()
         np.testing.assert_array_equal(
             model.energies(states),
             qubo_energies_csr(states, diag, csr, model.offset),

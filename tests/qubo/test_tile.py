@@ -65,30 +65,26 @@ class TestTiledProblem:
         )
         np.testing.assert_allclose(total, parts)
 
-    @pytest.mark.parametrize("mode", ["dense", "sparse"])
-    def test_fused_sampler_form_matches_fused_model(self, mode):
+    def test_fused_sampler_form_matches_fused_model(self):
         tiled = tile_models(small_models())
-        diag, coupling = tiled.fused_sampler_form(mode)
-        ref_diag, ref_coupling = tiled.fused_model.sampler_form(mode=mode)
+        diag, coupling = tiled.fused_sampler_form()
+        ref_diag, ref_coupling = tiled.fused_model.sampler_form()
         np.testing.assert_array_equal(diag, ref_diag)
-        if mode == "sparse":
-            assert isinstance(coupling, CsrMatrix)
-            np.testing.assert_array_equal(coupling.indptr, ref_coupling.indptr)
-            np.testing.assert_array_equal(coupling.indices, ref_coupling.indices)
-            np.testing.assert_array_equal(coupling.data, ref_coupling.data)
-        else:
-            np.testing.assert_array_equal(coupling, ref_coupling)
+        assert isinstance(coupling, CsrMatrix)
+        np.testing.assert_array_equal(coupling.indptr, ref_coupling.indptr)
+        np.testing.assert_array_equal(coupling.indices, ref_coupling.indices)
+        np.testing.assert_array_equal(coupling.data, ref_coupling.data)
 
     def test_sparse_rows_identical_to_solo(self):
         # The bit-identity linchpin: each fused CSR row must hold the same
         # entries in the same order as the block's own row.
         models = small_models()
         tiled = tile_models(models)
-        _, fused = tiled.fused_sampler_form("sparse")
+        _, fused = tiled.fused_sampler_form()
         for k, model in enumerate(models):
             if model.num_variables == 0:
                 continue
-            _, solo = model.sampler_form(mode="sparse")
+            _, solo = model.sampler_form()
             start = tiled.starts[k]
             for i in range(model.num_variables):
                 fcols, fvals = fused.row(start + i)
