@@ -15,8 +15,6 @@ surrounding sampler ecosystem a hardware-ready stack needs:
 * :class:`~repro.anneal.tabu.TabuSampler`,
   :class:`~repro.anneal.greedy.SteepestDescentSampler`,
   :class:`~repro.anneal.random_sampler.RandomSampler` — classical baselines.
-* :mod:`~repro.anneal.parallel` — multi-process portfolio and batched
-  sampling.
 """
 
 from repro.utils.lazy import lazy_exports
@@ -39,10 +37,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.anneal.tabu": ("TabuSampler",),
         "repro.anneal.greedy": ("SteepestDescentSampler",),
         "repro.anneal.random_sampler": ("RandomSampler",),
-        "repro.anneal.parallel": (
-            "ParallelSampler",
-            "PortfolioSampler",
-            "split_evenly",
-        ),
     },
 )

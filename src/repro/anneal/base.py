@@ -1,7 +1,7 @@
 """Sampler interface.
 
 Every solver in the library — simulated annealing, SQA, exact enumeration,
-tabu, the simulated QPU, and all composites — implements
+tabu, the simulated QPU and its embedding composite — implements
 :class:`Sampler.sample_model`. Convenience entry points accept raw QUBO
 dicts, Ising dicts, or labelled BQMs and normalize to the index-based
 :class:`~repro.qubo.model.QuboModel` fast path.

@@ -2,9 +2,8 @@
 
 Why this needs new machinery: "x differs from t" is a penalty on the
 **conjunction** of all ``7n`` bits matching the target — a degree-``7n``
-monomial, far beyond quadratic. The standard reduction (see
-:mod:`repro.qubo.hubo` for the general HUBO route) chains auxiliary AND
-variables:
+monomial, far beyond quadratic. The standard reduction chains auxiliary
+AND variables:
 
     a_1 = y_1 AND y_2,   a_k = a_{k-1} AND y_{k+1},   ...
 

@@ -272,6 +272,7 @@ def _result_fingerprint(result) -> Dict[str, Any]:
 
 def _build_session(spec: BenchmarkSpec) -> Workload:
     from repro.service import CompileCache
+    from repro.service.spec import SolveSpec
     from repro.smt.generator import InstanceGenerator
     from repro.smt.session import SolverSession
 
@@ -298,9 +299,11 @@ def _build_session(spec: BenchmarkSpec) -> Workload:
             fingerprints: List[List[Dict[str, Any]]] = []
             for script in scripts:
                 session = SolverSession(
-                    num_reads=int(p["num_reads"]),
-                    seed=int(p["solver_seed"]),
-                    sampler_params={"num_sweeps": int(p["num_sweeps"])},
+                    SolveSpec(
+                        num_reads=int(p["num_reads"]),
+                        seed=int(p["solver_seed"]),
+                        sampler_params={"num_sweeps": int(p["num_sweeps"])},
+                    ),
                     metrics=metrics,
                 )
                 results = session.run_script_text(script)
@@ -319,7 +322,7 @@ def _build_session(spec: BenchmarkSpec) -> Workload:
 
     base = str(p["base"])
     extra = str(p["extra"])
-    solver_kwargs = dict(
+    solve_spec = SolveSpec(
         num_reads=int(p["num_reads"]),
         seed=int(p["seed"]),
         sampler_params={"num_sweeps": int(p["num_sweeps"])},
@@ -336,7 +339,7 @@ def _build_session(spec: BenchmarkSpec) -> Workload:
 
         def run(metrics: MetricsRegistry) -> Dict[str, Any]:
             session = SolverSession(
-                cache=CompileCache(maxsize=8), metrics=metrics, **solver_kwargs
+                solve_spec, cache=CompileCache(maxsize=8), metrics=metrics
             )
             session.assert_text(base)
             session.push()
@@ -354,7 +357,7 @@ def _build_session(spec: BenchmarkSpec) -> Workload:
     # timed repeat measures the incremental fast path: push, re-assert the
     # change, answer from the per-state memo, pop.
     shared = SolverSession(
-        cache=CompileCache(maxsize=8), metrics=MetricsRegistry(), **solver_kwargs
+        solve_spec, cache=CompileCache(maxsize=8), metrics=MetricsRegistry()
     )
     shared.assert_text(base)
     shared.check_sat()

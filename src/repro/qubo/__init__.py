@@ -54,7 +54,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "sparse_sampler_form",
             "sparse_stats",
         ),
-        "repro.qubo.hubo": ("HuboModel", "quadratize"),
         "repro.qubo.serialization": ("load_model", "save_model"),
         "repro.qubo.tile": ("TiledProblem", "model_content_hash", "tile_models"),
     },

@@ -1,8 +1,8 @@
 """Model composition: the algebra of QUBOs.
 
 Conjunction of soft constraints is addition of their objectives; these
-helpers implement the operations the SMT compiler and the composites layer
-need: add, scale, relabel, and fix (partial-assign) variables.
+helpers implement the operations the weighted optimizer and the refinement
+loop need: add, scale, relabel, and fix (partial-assign) variables.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ labels, a vartype (SPIN or BINARY), linear biases, quadratic couplings, and a
 constant offset. The hardware layer (:mod:`repro.hardware`) works with BQMs
 because embedded chains need labelled qubits; the string formulations work
 with the leaner index-based :class:`~repro.qubo.model.QuboModel` and are
-lifted into BQMs when they pass through composites.
+lifted into BQMs when they pass through the hardware layer.
 """
 
 from __future__ import annotations

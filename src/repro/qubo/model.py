@@ -26,8 +26,7 @@ Design notes
   substring-matching formulation (§4.3) depends on the *overwrite* semantics:
   later encodings replace earlier ones.
 * Pickling ships only ``(n, coefficients, offset)`` — never a dense matrix —
-  so worker payloads in :mod:`repro.anneal.parallel` and
-  :mod:`repro.service.batch` stay proportional to the number of nonzeros.
+  so pickled payloads stay proportional to the number of nonzeros.
 """
 
 from __future__ import annotations

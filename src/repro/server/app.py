@@ -219,29 +219,28 @@ class SolverServer(HttpService):
             workers=self.config.workers,
             metrics=self.metrics,
         )
-        #: The solver fields of the spec, as the keyword arguments both
-        #: backends and every session are built from. Backends take the
-        #: opt deadline from each request's remaining budget instead.
-        self._solver_kwargs = self.config.solve_spec().kwargs()
-        del self._solver_kwargs["opt_deadline_ms"]
+        #: The one solver configuration: both backends and every session
+        #: hold this object. Backends take the opt deadline from each
+        #: request's remaining budget.
+        self.spec = self.config.solve_spec()
         if self.config.backend == "process":
             from repro.server.procpool import ProcessSolverBackend
 
             self.pool = ProcessSolverBackend(
-                workers=self.config.workers,
+                self.spec,
+                self.config.workers,
                 cache_size=self.config.cache_size,
                 metrics=self.metrics,
                 mp_context=self.config.mp_context,
-                **self._solver_kwargs,
             )
         else:
             self.pool = SolverWorkerPool(
-                workers=self.config.workers,
+                self.spec,
+                self.config.workers,
                 cache=self.cache,
                 metrics=self.metrics,
                 batch_window_ms=self.config.batch_window_ms,
                 batch_max=self.config.batch_max,
-                **self._solver_kwargs,
             )
         # Sticky sessions always solve on the event-loop process (thread
         # executor) against the shared compile cache, whatever the /solve
@@ -254,13 +253,11 @@ class SolverServer(HttpService):
         )
 
     def _new_session(self) -> SolverSession:
-        kwargs = dict(self._solver_kwargs)
         return SolverSession(
-            retry_policy=kwargs.pop("policy"),
+            self.spec,
             cache=self.cache,
             warm_start=self.config.session_warm_start,
             metrics=self.metrics,
-            **kwargs,
         )
 
     # ------------------------------------------------------------------ #

@@ -61,7 +61,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.server.admission import DeadlineExceededError
 from repro.service.cache import CacheStats, CompileCache
 from repro.service.metrics import MetricsRegistry
-from repro.service.policy import RetryPolicy
 from repro.service.spec import SolveOutcome, SolveSpec, execute
 from repro.smt import ast
 
@@ -157,51 +156,27 @@ class ProcessSolverBackend:
     transport (pipes instead of shared memory) and the failure modes
     documented in the module docstring.
 
-    ``sampler_factory`` must be picklable (a module-level callable or an
-    instance of a module-level class) — it is shipped to the worker at
-    spawn time; lambdas raise at construction, not at first request.
+    The spec's ``sampler_factory`` must be picklable (a module-level
+    callable or an instance of a module-level class) — it is shipped to
+    the worker at spawn time; lambdas raise at construction, not at first
+    request.
     """
 
     def __init__(
         self,
+        spec: SolveSpec,
         workers: int = 2,
         *,
-        num_reads: int = 64,
-        seed: Optional[int] = None,
-        sampler_params: Optional[Dict[str, Any]] = None,
-        sampler_factory: Optional[Any] = None,
-        penalty_strength: float = 1.0,
-        policy: Optional[RetryPolicy] = None,
         cache_size: int = 256,
         metrics: Optional[MetricsRegistry] = None,
         mp_context: str = "spawn",
         backoff_initial: float = 0.1,
         backoff_max: float = 5.0,
-        strategy: str = "direct",
-        refine_max_rounds: int = 4,
-        opt_max_restarts: int = 4,
-        opt_exhaustive_bits: int = 16,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         #: Pickled to every worker process at spawn time.
-        self.spec = SolveSpec(
-            num_reads=num_reads,
-            seed=seed,
-            sampler_params=sampler_params,
-            sampler_factory=sampler_factory,
-            penalty_strength=penalty_strength,
-            policy=policy,
-            strategy=strategy,
-            refine_max_rounds=refine_max_rounds,
-            opt_max_restarts=opt_max_restarts,
-            opt_exhaustive_bits=opt_exhaustive_bits,
-        )
-        if seed is not None and not isinstance(seed, int):
-            raise TypeError(
-                "the process backend needs a reproducible seed (int or None); "
-                f"live RNG objects cannot cross the process boundary: {type(seed)!r}"
-            )
+        self.spec = spec
         self.workers = workers
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache_size = cache_size

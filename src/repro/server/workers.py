@@ -88,58 +88,25 @@ class SolverWorkerPool:
 
     Mirrors :class:`~repro.service.batch.BatchSolver`'s determinism
     contract (fresh solver per item, shared cache/metrics/policy) with an
-    async front door and per-request deadlines.
+    async front door and per-request deadlines. *spec* is the server's
+    one :class:`~repro.service.spec.SolveSpec`; the micro-batching
+    settings arrive validated by
+    :class:`~repro.server.app.ServerConfig`.
     """
 
     def __init__(
         self,
+        spec: SolveSpec,
         workers: int = 2,
         *,
-        num_reads: int = 64,
-        seed: Optional[int] = None,
-        sampler_params: Optional[Dict[str, Any]] = None,
-        sampler_factory: Optional[Any] = None,
-        penalty_strength: float = 1.0,
-        policy: Optional[RetryPolicy] = None,
         cache: Optional[CompileCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         batch_window_ms: float = 0.0,
         batch_max: int = 8,
-        strategy: str = "direct",
-        refine_max_rounds: int = 4,
-        opt_max_restarts: int = 4,
-        opt_exhaustive_bits: int = 16,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.spec = SolveSpec(
-            num_reads=num_reads,
-            seed=seed,
-            sampler_params=sampler_params,
-            sampler_factory=sampler_factory,
-            penalty_strength=penalty_strength,
-            policy=policy,
-            strategy=strategy,
-            refine_max_rounds=refine_max_rounds,
-            opt_max_restarts=opt_max_restarts,
-            opt_exhaustive_bits=opt_exhaustive_bits,
-        )
-        if batch_window_ms > 0 and strategy != "direct":
-            raise ValueError(
-                "micro-batching requires strategy='direct'; fused tiles "
-                "bypass the per-request refinement loop"
-            )
-        if batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {batch_window_ms}"
-            )
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
-        if seed is not None and not isinstance(seed, int):
-            raise TypeError(
-                "the server needs a reproducible seed (int or None); live "
-                f"RNG objects cannot be shared across workers: {type(seed)!r}"
-            )
+        self.spec = spec
         self.workers = workers
         self.cache = cache if cache is not None else CompileCache(maxsize=256)
         self.metrics = metrics if metrics is not None else MetricsRegistry()

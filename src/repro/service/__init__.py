@@ -11,6 +11,8 @@ pipeline:
 * :mod:`~repro.service.metrics` — thread-safe counters and timing
   histograms with a JSON export, threaded through
   compile → build → anneal → decode;
+* :mod:`~repro.service.spec` — :class:`SolveSpec`, the one solver
+  configuration every per-item entry point is built from;
 * :mod:`~repro.service.batch` — :class:`BatchSolver`, solving many
   SMT-LIB scripts / constraint sets concurrently over a worker pool.
 """
@@ -34,6 +36,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "RetryOutcome",
             "RetryPolicy",
         ),
+        "repro.service.spec": ("SolveSpec",),
         "repro.service.batch": ("BatchItemResult", "BatchReport", "BatchSolver"),
     },
 )

@@ -40,7 +40,6 @@ from repro.service.policy import RetryPolicy
 from repro.service.spec import SolveOutcome, SolveSpec, execute
 from repro.smt import ast
 from repro.smt.parser import SmtScript, parse_script
-from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
 
 __all__ = ["BatchItemResult", "BatchReport", "BatchSolver"]
@@ -132,8 +131,7 @@ class BatchSolver:
     executor:
         ``"thread"`` (default), ``"serial"``, or ``"fused"``. The serial
         mode runs the identical code path without a pool and is the
-        reproducibility reference, mirroring
-        :class:`~repro.anneal.parallel.ParallelSampler`. ``"fused"``
+        reproducibility reference. ``"fused"``
         routes the batch through :func:`repro.service.fused.solve_batch_fused`,
         which block-diagonally tiles the items' QUBOs into joint kernel
         calls (at most ``tile_max`` blocks per call) — one fused sweep
@@ -162,7 +160,7 @@ class BatchSolver:
         sampler_factory: Optional[Callable[[], Sampler]] = None,
         *,
         num_reads: int = 64,
-        seed: SeedLike = None,
+        seed: Optional[int] = None,
         sampler_params: Optional[Dict[str, Any]] = None,
         penalty_strength: float = 1.0,
         max_attempts: int = 3,
@@ -206,11 +204,6 @@ class BatchSolver:
             )
         if tile_max < 1:
             raise ValueError(f"tile_max must be >= 1, got {tile_max}")
-        if seed is not None and not isinstance(seed, int):
-            raise TypeError(
-                "BatchSolver needs a reproducible seed (int or None); live "
-                f"RNG objects cannot be shared across workers: {type(seed)!r}"
-            )
         self.cache = cache if cache is not None else CompileCache(maxsize=256)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.num_workers = num_workers

@@ -128,6 +128,7 @@ def solve_batch_fused(
             item.problem, item.cache_hit = compile_cached(
                 spec, item.assertions, cache, metrics
             )
+            metrics.counter("cache.hits" if item.cache_hit else "cache.misses").inc()
         except CompilationError as exc:  # out-of-fragment → unknown
             item.outcome = SolveOutcome.failed(exc)
             item.outcome.path = "error"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.service.policy import RetryExhaustedError, RetryPolicy
@@ -60,7 +60,8 @@ class SolveSpec:
     default simulated annealer) and must be picklable for the process
     backend. ``policy`` defaults to three attempts. ``sampler_params`` is
     copied on construction and must not be mutated afterwards: one spec
-    is shared by every worker thread.
+    is shared by every worker thread. ``seed`` is an ``int`` or ``None``
+    (checked here, the one seed check of every owner).
     """
 
     num_reads: int = 64
@@ -76,6 +77,12 @@ class SolveSpec:
     opt_exhaustive_bits: int = 16
 
     def __post_init__(self) -> None:
+        if self.seed is not None and not isinstance(self.seed, int):
+            raise TypeError(
+                "a solve needs a reproducible seed (int or None); live RNG "
+                "objects cannot be shared across solves, workers or "
+                f"processes: {type(self.seed)!r}"
+            )
         check_strategy(self.strategy, self.refine_max_rounds)
         if self.opt_max_restarts < 1:
             raise ValueError(
@@ -88,10 +95,6 @@ class SolveSpec:
         object.__setattr__(self, "sampler_params", dict(self.sampler_params or {}))
         if self.policy is None:
             object.__setattr__(self, "policy", RetryPolicy(max_attempts=3))
-
-    def kwargs(self) -> Dict[str, Any]:
-        """The fields as keyword arguments, named as the owners accept them."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def policy_within(self, remaining: Optional[float]) -> RetryPolicy:
         """The retry policy with its attempt timeout clamped to *remaining*
@@ -226,8 +229,10 @@ def compile_cached(
 ) -> Tuple[CompiledProblem, bool]:
     """Compile *assertions* through *cache*; returns ``(problem, hit)``.
 
-    The one place plain solves count ``cache.hits`` / ``cache.misses``
-    (and time misses under ``compile``) into *metrics*.
+    Misses are timed under ``compile`` in *metrics*. Hits and misses are
+    not counted here: :func:`execute` and the fused executor count them
+    as ``cache.hits`` / ``cache.misses``, while sessions and the
+    differential oracle keep their own books.
     """
 
     def compile_fn() -> CompiledProblem:
@@ -238,15 +243,12 @@ def compile_cached(
                 seed=spec.seed,
             )
 
-    problem, hit = cache.get_or_compile(
+    return cache.get_or_compile(
         assertions,
         penalty_strength=spec.penalty_strength,
         seed=spec.seed,
         compile_fn=compile_fn,
     )
-    if metrics is not None:
-        metrics.counter("cache.hits" if hit else "cache.misses").inc()
-    return problem, hit
 
 
 def execute(
@@ -284,6 +286,8 @@ def execute(
         hit = False
         if compiled is None:
             compiled, hit = compile_cached(spec, assertions, cache, metrics)
+            if metrics is not None:
+                metrics.counter("cache.hits" if hit else "cache.misses").inc()
         result = solver.solve_compiled(compiled, **params)
         return SolveOutcome(result=result, cache_hit=hit, wall_time=timer.stop())
     except Exception as exc:  # noqa: BLE001 — boundary: degrade, don't crash

@@ -60,6 +60,7 @@ from repro.core.solver import SolveResult, result_from_sampleset
 from repro.qubo.algebra import expand_states, fix_variables
 from repro.service.cache import CompileCache
 from repro.service.policy import RetryExhaustedError
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.classical import _propagate
 from repro.smt.compiler import (
@@ -506,8 +507,10 @@ class RefinementEngine:
         """The frame stack carrying learned lemmas (PR 8 machinery)."""
         seed = getattr(self.solver, "_seed", None)
         session = SolverSession(
-            seed=seed if isinstance(seed, int) else None,
-            penalty_strength=self.solver.penalty_strength,
+            SolveSpec(
+                seed=seed if isinstance(seed, int) else None,
+                penalty_strength=self.solver.penalty_strength,
+            ),
             cache=self.cache if self.cache is not None else CompileCache(maxsize=64),
         )
         for assertion in base_assertions:

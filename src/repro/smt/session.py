@@ -47,7 +47,7 @@ consumption relative to a cold solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ from repro.core.encoding import encode_string
 from repro.utils.asciitab import CHAR_BITS
 from repro.service.cache import CompileCache, LruCache, compile_cache_key
 from repro.service.metrics import MetricsRegistry
-from repro.service.policy import RetryPolicy
-from repro.service.spec import SolveSpec
+from repro.service.spec import SolveSpec, compile_cached
 from repro.smt import ast
 from repro.smt.compiler import CompilationError
 from repro.smt.parser import SmtScript, parse_script
@@ -103,16 +102,16 @@ class SolverSession:
 
     Parameters
     ----------
-    num_reads, seed, sampler_params, max_attempts, penalty_strength,
-    retry_policy, metrics:
-        Solver configuration: the session's
-        :class:`~repro.service.spec.SolveSpec` builds the fresh
-        :class:`~repro.smt.solver.QuantumSMTSolver` each uncached check
-        uses. ``seed`` should be an int (or None) — live RNG objects
-        defeat both caches.
-    sampler_factory:
-        Optional zero-arg callable building the sampler per check (the
-        server's fault-injection hook).
+    spec:
+        The solver configuration: the
+        :class:`~repro.service.spec.SolveSpec` that builds the fresh
+        :class:`~repro.smt.solver.QuantumSMTSolver` (and, for
+        :meth:`optimize`, the anytime optimizer) each uncached check
+        uses. Its ``strategy`` selects ``"direct"`` or ``"refine"`` (the
+        CEGAR loop of :mod:`repro.smt.refine`); refined checks compile
+        their lemma-frame states through this session's shared
+        :class:`~repro.service.cache.CompileCache`, so lemma states
+        learned in one check delta-compile for free in later ones.
     cache:
         Shared :class:`~repro.service.cache.CompileCache`; one is created
         per session when omitted. Sharing one across sessions lets
@@ -122,54 +121,21 @@ class SolverSession:
     warm_start:
         Opt into the previous-model fast path and ``initial_states``
         seeding (see the module docstring for the bit-identity caveat).
-    strategy, refine_max_rounds:
-        Solve strategy per check: ``"direct"`` or ``"refine"`` (the CEGAR
-        loop of :mod:`repro.smt.refine`). Refined checks compile their
-        lemma-frame states through this session's shared
-        :class:`~repro.service.cache.CompileCache`, so lemma states
-        learned in one check delta-compile for free in later ones.
+    metrics:
+        Optional :class:`~repro.service.metrics.MetricsRegistry` the
+        session's solvers time their stages into.
     """
 
     def __init__(
         self,
+        spec: SolveSpec,
         *,
-        num_reads: int = 64,
-        seed: Optional[int] = None,
-        sampler_params: Optional[Dict[str, Any]] = None,
-        max_attempts: int = 3,
-        penalty_strength: float = 1.0,
-        retry_policy: Optional[RetryPolicy] = None,
-        sampler_factory: Optional[Callable[[], Any]] = None,
         cache: Optional[CompileCache] = None,
         memo_size: int = 256,
         warm_start: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        strategy: str = "direct",
-        refine_max_rounds: int = 4,
-        opt_max_restarts: int = 4,
-        opt_deadline_ms: Optional[float] = None,
-        opt_exhaustive_bits: int = 16,
     ) -> None:
-        try:
-            self.spec = SolveSpec(
-                num_reads=num_reads,
-                seed=seed,
-                sampler_params=sampler_params,
-                sampler_factory=sampler_factory,
-                penalty_strength=penalty_strength,
-                policy=(
-                    retry_policy
-                    if retry_policy is not None
-                    else RetryPolicy(max_attempts=max_attempts)
-                ),
-                strategy=strategy,
-                refine_max_rounds=refine_max_rounds,
-                opt_max_restarts=opt_max_restarts,
-                opt_deadline_ms=opt_deadline_ms,
-                opt_exhaustive_bits=opt_exhaustive_bits,
-            )
-        except ValueError as exc:
-            raise SessionError(str(exc)) from None
+        self.spec = spec
         self.cache = cache if cache is not None else CompileCache(maxsize=256)
         self.warm_start = warm_start
         self.metrics = metrics
@@ -334,11 +300,8 @@ class SolverSession:
         solver = self.spec.solver(metrics=self.metrics, cache=self.cache)
         solver.assertions = list(flattened)
         try:
-            problem, hit = self.cache.get_or_compile(
-                flattened,
-                penalty_strength=self.spec.penalty_strength,
-                seed=self.spec.seed,
-                compile_fn=solver.compile,
+            problem, hit = compile_cached(
+                self.spec, flattened, self.cache, self.metrics
             )
         except CompilationError as exc:
             result = SmtResult(

@@ -5,15 +5,15 @@ be ``None``, an integer, or an already-constructed
 :class:`numpy.random.Generator`. :func:`ensure_rng` normalizes the three
 cases so call sites never branch.
 
-Parallel samplers need statistically independent streams per worker.
-:func:`spawn_rngs` derives child generators through NumPy's ``SeedSequence``
-spawning machinery, which guarantees independence without manual seed
-arithmetic.
+Components that need a stream of their own (the string solver's per-solve
+generator, the refinement loop) take one from :func:`spawn_rngs`, which
+derives child generators through NumPy's ``SeedSequence`` spawning
+machinery and so guarantees independence without manual seed arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -45,9 +45,8 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
 def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
     """Derive *n* independent generators from a single seed.
 
-    Used by the parallel sampling layer so each worker process or batch gets
-    its own stream; results are reproducible given the parent seed and are
-    independent of scheduling order.
+    Each child is its own stream; results are reproducible given the
+    parent seed and are independent of scheduling order.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -61,10 +60,3 @@ def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
     else:
         ss = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-def rng_integers(
-    rng: np.random.Generator, low: int, high: int, size: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """Thin wrapper over ``Generator.integers`` with an exclusive high bound."""
-    return rng.integers(low, high, size=size)

@@ -191,13 +191,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    oracle = DifferentialOracle(
+    config = CampaignConfig(
         seed=args.seed,
         num_reads=args.num_reads,
         strategy=args.strategy,
         refine_max_rounds=args.refine_max_rounds,
     )
-    report = replay_corpus(args.directory, oracle)
+    report = replay_corpus(args.directory, DifferentialOracle(config.solve_spec()))
     print(report.text_report())
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
@@ -226,7 +226,6 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
 
 
 def _cmd_opt(args: argparse.Namespace) -> int:
-    from repro.opt import AnytimeOptimizer
     from repro.verify.optimality import (
         OptCampaignConfig,
         OptimalityOracle,
@@ -258,9 +257,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     if args.corpus_dir:
         corpus_report = replay_opt_corpus(
             args.corpus_dir,
-            optimizer=AnytimeOptimizer(
-                seed=args.seed, num_reads=args.num_reads
-            ),
+            optimizer=config.solve_spec().optimizer(),
             oracle=OptimalityOracle(),
         )
         print(
@@ -284,7 +281,9 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
         script = parse_script(handle.read())
     assertions = list(script.assertions)
     expected = SolveStatus.from_value(args.expect)
-    oracle = DifferentialOracle(seed=args.seed, num_reads=args.num_reads)
+    oracle = DifferentialOracle(
+        CampaignConfig(seed=args.seed, num_reads=args.num_reads).solve_spec()
+    )
 
     baseline = oracle.check(assertions, expected=expected)
     verdict = baseline.verdict

@@ -27,14 +27,15 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.service.cache import CompileCache
 from repro.service.metrics import MetricsRegistry
+from repro.service.policy import RetryPolicy
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.utils.timing import Timer
 from repro.smt.generator import ALL_OPS, GeneratedInstance, InstanceGenerator
-from repro.smt.printer import render_script
 from repro.smt.status import SolveStatus
 from repro.verify.metamorphic import (
     RELATIONS,
@@ -89,6 +90,20 @@ class CampaignConfig:
     corpus_dir: Optional[str] = None
     #: ``> 1`` precomputes quantum results with a BatchSolver thread pool.
     num_workers: int = 1
+
+    def solve_spec(self) -> SolveSpec:
+        """The quantum side's one solver configuration."""
+        return SolveSpec(
+            num_reads=self.num_reads,
+            seed=self.seed,
+            sampler_params=(
+                {} if self.num_sweeps is None else {"num_sweeps": self.num_sweeps}
+            ),
+            penalty_strength=self.penalty_strength,
+            policy=RetryPolicy(max_attempts=self.max_attempts),
+            strategy=self.strategy,
+            refine_max_rounds=self.refine_max_rounds,
+        )
 
     def resolved_ops(self) -> List[str]:
         if isinstance(self.ops, str):
@@ -278,26 +293,17 @@ def run_campaign(
     metrics = metrics if metrics is not None else MetricsRegistry()
     cache = cache if cache is not None else CompileCache(maxsize=512)
 
-    sampler_params: Dict[str, Any] = {}
-    if config.num_sweeps is not None:
-        sampler_params["num_sweeps"] = config.num_sweeps
     oracle = DifferentialOracle(
-        seed=config.seed,
-        num_reads=config.num_reads,
-        sampler_params=sampler_params,
-        max_attempts=config.max_attempts,
-        penalty_strength=config.penalty_strength,
+        config.solve_spec(),
         reference=config.reference,
         max_length=config.reference_max_length,
         cache=cache,
         metrics=metrics,
-        strategy=config.strategy,
-        refine_max_rounds=config.refine_max_rounds,
     )
 
     instances = _draw_instances(config)
     precomputed = (
-        _precompute_quantum(config, instances, cache, metrics)
+        _precompute_quantum(oracle, instances, config.num_workers)
         if config.num_workers > 1
         else None
     )
@@ -343,30 +349,18 @@ def _draw_instances(config: CampaignConfig) -> List[GeneratedInstance]:
 
 
 def _precompute_quantum(
-    config: CampaignConfig,
+    oracle: DifferentialOracle,
     instances: Sequence[GeneratedInstance],
-    cache: CompileCache,
-    metrics: MetricsRegistry,
+    num_workers: int,
 ):
-    """Quantum-solve every instance up front on a BatchSolver pool."""
+    """Quantum-solve every instance up front on a BatchSolver pool that
+    shares the oracle's spec, cache and metrics."""
     from repro.service.batch import BatchSolver
 
-    sampler_params: Dict[str, Any] = {}
-    if config.num_sweeps is not None:
-        sampler_params["num_sweeps"] = config.num_sweeps
     batch = BatchSolver(
-        num_reads=config.num_reads,
-        seed=config.seed,
-        sampler_params=sampler_params,
-        penalty_strength=config.penalty_strength,
-        max_attempts=config.max_attempts,
-        cache=cache,
-        metrics=metrics,
-        num_workers=config.num_workers,
-        executor="thread",
-        strategy=config.strategy,
-        refine_max_rounds=config.refine_max_rounds,
+        cache=oracle.cache, metrics=oracle.metrics, num_workers=num_workers
     )
+    batch.spec = oracle.spec
     batch_report = batch.solve_batch([inst.assertions for inst in instances])
     return [item.result for item in batch_report.items]
 

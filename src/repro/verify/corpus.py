@@ -233,13 +233,17 @@ def replay_corpus(
     directory: str,
     oracle: Optional[DifferentialOracle] = None,
 ) -> CorpusReport:
-    """Replay every corpus case through the differential oracle.
+    """Replay every corpus case through the differential oracle (default:
+    one at the default campaign's solver configuration).
 
     The per-case verdict counted into the report is the case's worst
     per-query verdict, so a soundness bug at *any* frame depth fails the
     replay.
     """
-    oracle = oracle if oracle is not None else DifferentialOracle(seed=0)
+    if oracle is None:
+        from repro.verify.campaign import CampaignConfig
+
+        oracle = DifferentialOracle(CampaignConfig().solve_spec())
     report = CorpusReport()
     for case in load_corpus(directory):
         record = _replay_case(case, oracle)

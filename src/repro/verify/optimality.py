@@ -41,11 +41,12 @@ import os
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.opt.driver import AnytimeOptimizer, audit_cost
 from repro.opt.result import OptimizeResult, OptStatus
 from repro.service.metrics import MetricsRegistry
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.classical import ClassicalStringSolver
 from repro.smt.generator import ALL_OPS, GeneratedInstance, InstanceGenerator
@@ -551,6 +552,20 @@ class OptCampaignConfig:
     node_budget: int = 500_000
     max_wall_time: Optional[float] = None
 
+    def solve_spec(self) -> SolveSpec:
+        """The optimizer's one configuration, budgets included."""
+        return SolveSpec(
+            num_reads=self.num_reads,
+            seed=self.seed,
+            sampler_params=(
+                {} if self.num_sweeps is None else {"num_sweeps": self.num_sweeps}
+            ),
+            penalty_strength=self.penalty_strength,
+            opt_max_restarts=self.max_restarts,
+            opt_deadline_ms=self.deadline_ms,
+            opt_exhaustive_bits=self.exhaustive_bits,
+        )
+
     def resolved_ops(self) -> List[str]:
         if isinstance(self.ops, str):
             if self.ops != "all":
@@ -677,19 +692,7 @@ def run_opt_campaign(
     """Run one seeded weighted-MaxSMT fuzz campaign."""
     config = config if config is not None else OptCampaignConfig()
     metrics = metrics if metrics is not None else MetricsRegistry()
-    sampler_params: Dict[str, Any] = {}
-    if config.num_sweeps is not None:
-        sampler_params["num_sweeps"] = config.num_sweeps
-    optimizer = AnytimeOptimizer(
-        num_reads=config.num_reads,
-        seed=config.seed,
-        sampler_params=sampler_params,
-        penalty_strength=config.penalty_strength,
-        max_restarts=config.max_restarts,
-        deadline_ms=config.deadline_ms,
-        exhaustive_bits=config.exhaustive_bits,
-        metrics=metrics,
-    )
+    optimizer = config.solve_spec().optimizer(metrics=metrics)
     oracle = OptimalityOracle(
         max_length=config.reference_max_length,
         node_budget=config.node_budget,

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.service.cache import CompileCache
 from repro.service.metrics import MetricsRegistry
-from repro.service.policy import RetryPolicy
-from repro.service.spec import SolveSpec
+from repro.service.spec import SolveSpec, compile_cached
 from repro.smt import ast
 from repro.smt.classical import ClassicalStringSolver
 from repro.smt.compiler import CompilationError
@@ -110,13 +109,11 @@ class DifferentialOracle:
 
     Parameters
     ----------
-    seed:
-        Base seed for the quantum side; every :meth:`check` builds a fresh
-        :class:`~repro.smt.solver.QuantumSMTSolver` from the oracle's
-        :class:`~repro.service.spec.SolveSpec`, so reports are
-        deterministic at a fixed seed and independent of call order.
-    num_reads, sampler_params, max_attempts, penalty_strength:
-        Quantum-solver configuration.
+    spec:
+        The quantum side's :class:`~repro.service.spec.SolveSpec`; every
+        :meth:`check` builds a fresh
+        :class:`~repro.smt.solver.QuantumSMTSolver` from it, so reports
+        are deterministic at a fixed seed and independent of call order.
     reference:
         ``"classical"`` (default, the propagation + backtracking baseline)
         or ``"dpllt"`` (the classical solver driven through the DPLL(T)
@@ -135,38 +132,19 @@ class DifferentialOracle:
 
     def __init__(
         self,
+        spec: SolveSpec,
         *,
-        seed: Optional[int] = 0,
-        num_reads: int = 64,
-        sampler_params: Optional[Dict[str, Any]] = None,
-        max_attempts: int = 3,
-        penalty_strength: float = 1.0,
         reference: str = "classical",
         max_length: int = 12,
         node_budget: int = 2_000_000,
         cache: Optional[CompileCache] = None,
         metrics: Optional[MetricsRegistry] = None,
-        strategy: str = "direct",
-        refine_max_rounds: int = 4,
     ) -> None:
         if reference not in ("classical", "dpllt"):
             raise ValueError(
                 f"reference must be 'classical' or 'dpllt', got {reference!r}"
             )
-        self.spec = SolveSpec(
-            num_reads=num_reads,
-            seed=seed,
-            sampler_params=sampler_params,
-            penalty_strength=penalty_strength,
-            policy=RetryPolicy(max_attempts=max_attempts),
-            strategy=strategy,
-            refine_max_rounds=refine_max_rounds,
-        )
-        if seed is not None and not isinstance(seed, int):
-            raise TypeError(
-                f"oracle seeds must be int or None for reproducibility, "
-                f"got {type(seed)!r}"
-            )
+        self.spec = spec
         self.reference = reference
         self.max_length = max_length
         self.node_budget = node_budget
@@ -188,11 +166,8 @@ class DifferentialOracle:
         if self.cache is None:
             return solver.check_sat(), False
         try:
-            problem, hit = self.cache.get_or_compile(
-                list(assertions),
-                penalty_strength=self.spec.penalty_strength,
-                seed=self.spec.seed,
-                compile_fn=solver.compile,
+            problem, hit = compile_cached(
+                self.spec, assertions, self.cache, self.metrics
             )
         except CompilationError as exc:
             return (

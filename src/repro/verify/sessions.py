@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.service.metrics import MetricsRegistry
+from repro.service.policy import RetryPolicy
+from repro.service.spec import SolveSpec
 from repro.smt.generator import InstanceGenerator
 from repro.smt.parser import parse_script
 from repro.smt.session import SolverSession, iter_check_states
@@ -166,10 +168,12 @@ def run_session_campaign(
         instance = generator.generate()
         solver_seed = seed * 1_000_003 + index
         session = SolverSession(
-            num_reads=num_reads,
-            seed=solver_seed,
-            sampler_params=sampler_params,
-            max_attempts=max_attempts,
+            SolveSpec(
+                num_reads=num_reads,
+                seed=solver_seed,
+                sampler_params=sampler_params,
+                policy=RetryPolicy(max_attempts=max_attempts),
+            ),
             metrics=metrics,
         )
         session_answers = session.run_script_text(instance.script)

@@ -3,13 +3,7 @@ sampler backends, with agreement between the quantum and classical paths."""
 
 import pytest
 
-from repro.anneal import (
-    PathIntegralAnnealer,
-    PortfolioSampler,
-    SimulatedAnnealingSampler,
-    SteepestDescentSampler,
-    TabuSampler,
-)
+from repro.anneal import PathIntegralAnnealer, TabuSampler
 from repro.smt import ClassicalStringSolver, QuantumSMTSolver, parse_script
 from repro.smt.theory import eval_formula
 
@@ -59,20 +53,6 @@ class TestQuantumPath:
     def test_tabu_backend(self):
         solver = QuantumSMTSolver.from_script_text(
             SCRIPT, sampler=TabuSampler(), seed=2, num_reads=16, max_attempts=5
-        )
-        result = solver.check_sat()
-        assert result.status == "sat"
-        _verify_model(result.model)
-
-    def test_portfolio_backend(self):
-        portfolio = PortfolioSampler(
-            [
-                ("sa", SimulatedAnnealingSampler(), {"num_sweeps": 300}),
-                ("greedy", SteepestDescentSampler(), {}),
-            ]
-        )
-        solver = QuantumSMTSolver.from_script_text(
-            SCRIPT, sampler=portfolio, seed=3, num_reads=24
         )
         result = solver.check_sat()
         assert result.status == "sat"

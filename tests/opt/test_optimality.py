@@ -258,3 +258,31 @@ class TestCli:
             isinstance(v, float) and not math.isfinite(v)
             for v in payload["campaign"]["verdicts"].values()
         )
+
+    def test_corpus_replay_runs_the_campaign_budgets(self, monkeypatch, tmp_path):
+        import repro.verify.optimality as optimality
+
+        optimizers = []
+        replay = optimality.replay_opt_corpus
+
+        def recording(directory, optimizer=None, oracle=None):
+            optimizers.append(optimizer)
+            return replay(directory, optimizer=optimizer, oracle=oracle)
+
+        monkeypatch.setattr(optimality, "replay_opt_corpus", recording)
+        code = verify_main(
+            [
+                "opt", "--instances", "1", "--seed", "5", "--soft", "1",
+                "--max-length", "2", "--num-reads", "16", "--num-sweeps", "40",
+                "--max-restarts", "2", "--exhaustive-bits", "8",
+                "--deadline-ms", "5000", "--corpus-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        (optimizer,) = optimizers
+        assert optimizer.seed == 5
+        assert optimizer.num_reads == 16
+        assert optimizer.sampler_params == {"num_sweeps": 40}
+        assert optimizer.max_restarts == 2
+        assert optimizer.exhaustive_bits == 8
+        assert optimizer.deadline_ms == 5000.0

@@ -9,6 +9,7 @@ import pytest
 from repro.opt.result import OptimizeResult, OptStatus
 from repro.server.workers import outcome_from_optimize
 from repro.service.batch import BatchSolver
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.session import SolverSession
 
@@ -26,10 +27,8 @@ FAST = dict(num_reads=16, sampler_params={"num_sweeps": 100}, seed=7)
 
 
 class TestSession:
-    def _session(self, **overrides):
-        params = dict(FAST)
-        params.update(overrides)
-        return SolverSession(**params)
+    def _session(self):
+        return SolverSession(SolveSpec(**FAST))
 
     def test_assert_soft_and_optimize(self):
         session = self._session()

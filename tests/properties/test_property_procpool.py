@@ -26,6 +26,7 @@ import pytest
 from repro.server.procpool import ProcessSolverBackend
 from repro.server.router import shard_index, shard_key
 from repro.server.workers import SolverWorkerPool
+from repro.service.spec import SolveSpec
 from repro.smt.parser import parse_script
 from repro.smt.solver import QuantumSMTSolver
 
@@ -63,8 +64,8 @@ class TestBackendBitIdentity:
         # One pool per backend, shared across scripts — per-worker caches
         # and worker reuse must not perturb answers.
         async def run_all():
-            thread_pool = SolverWorkerPool(workers=2, **FAST_SOLVER)
-            process_pool = ProcessSolverBackend(workers=2, **FAST_SOLVER)
+            thread_pool = SolverWorkerPool(SolveSpec(**FAST_SOLVER), workers=2)
+            process_pool = ProcessSolverBackend(SolveSpec(**FAST_SOLVER), workers=2)
             try:
                 outcomes = []
                 for script in SCRIPTS:
@@ -86,7 +87,7 @@ class TestBackendBitIdentity:
         # A repeat of the same formula is a per-worker cache hit on
         # whichever worker gets it — the answer must not change.
         async def run():
-            pool = ProcessSolverBackend(workers=1, **FAST_SOLVER)
+            pool = ProcessSolverBackend(SolveSpec(**FAST_SOLVER), workers=1)
             try:
                 assertions = parse_script(SCRIPTS[0]).assertions
                 first = await pool.solve(assertions)

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.solver import QuantumSMTSolver
 from repro.smt.theory import eval_formula
@@ -144,10 +145,10 @@ class TestThreadBackendBitIdentity:
 
         _pooled_bit_identity(
             lambda strategy, rounds: SolverWorkerPool(
+                SolveSpec(
+                    strategy=strategy, refine_max_rounds=rounds, **FAST_SOLVER
+                ),
                 workers=2,
-                strategy=strategy,
-                refine_max_rounds=rounds,
-                **FAST_SOLVER,
             ),
             max_examples=12,
         )
@@ -159,10 +160,10 @@ class TestProcessBackendBitIdentity:
 
         _pooled_bit_identity(
             lambda strategy, rounds: ProcessSolverBackend(
+                SolveSpec(
+                    strategy=strategy, refine_max_rounds=rounds, **FAST_SOLVER
+                ),
                 workers=2,
-                strategy=strategy,
-                refine_max_rounds=rounds,
-                **FAST_SOLVER,
             ),
             max_examples=8,
         )

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.session import SessionError, SolverSession
 from repro.smt.solver import QuantumSMTSolver
@@ -120,7 +121,7 @@ class TestSerialEquivalence:
         self, interleaving, seed
     ):
         config = dict(PROP_SOLVER, seed=seed)
-        session = SolverSession(**config)
+        session = SolverSession(SolveSpec(**config))
 
         def compare(result, flattened):
             solver = QuantumSMTSolver(**config)
@@ -141,7 +142,7 @@ def _pooled_equivalence(make_pool, max_examples):
             @given(interleaving=_interleavings)
             @settings(max_examples=max_examples, deadline=None)
             def inner(interleaving):
-                session = SolverSession(**FAST_SOLVER)
+                session = SolverSession(SolveSpec(**FAST_SOLVER))
 
                 def compare(result, flattened):
                     outcome = loop.run_until_complete(pool.solve(flattened))
@@ -161,7 +162,7 @@ class TestThreadBackendEquivalence:
         from repro.server.workers import SolverWorkerPool
 
         _pooled_equivalence(
-            lambda: SolverWorkerPool(workers=2, **FAST_SOLVER),
+            lambda: SolverWorkerPool(SolveSpec(**FAST_SOLVER), workers=2),
             max_examples=40,
         )
 
@@ -171,6 +172,6 @@ class TestProcessBackendEquivalence:
         from repro.server.procpool import ProcessSolverBackend
 
         _pooled_equivalence(
-            lambda: ProcessSolverBackend(workers=2, **FAST_SOLVER),
+            lambda: ProcessSolverBackend(SolveSpec(**FAST_SOLVER), workers=2),
             max_examples=40,
         )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.server.app import BackgroundServer, ServerConfig
 from repro.server.client import SolverClient
-from repro.server.workers import SolverWorkerPool
 
 from .conftest import FAST_SOLVER, SAT_SCRIPT, UNSAT_SCRIPT
 
@@ -23,8 +22,6 @@ class TestConfigValidation:
     def test_batch_max_validated(self):
         with pytest.raises(ValueError, match="batch_max"):
             ServerConfig(batch_window_ms=5.0, batch_max=0)
-        with pytest.raises(ValueError, match="batch_max"):
-            SolverWorkerPool(batch_max=0)
 
     def test_zero_window_means_disabled(self):
         config = ServerConfig(batch_window_ms=0.0)

@@ -1,24 +1,22 @@
 """SolveSpec: the one solver configuration every per-item entry point shares."""
 
 import pickle
+import random
 
+import numpy as np
 import pytest
 
 from repro.anneal.simulated import SimulatedAnnealingSampler
 from repro.server.app import ServerConfig, SolverServer
-from repro.server.procpool import ProcessSolverBackend
-from repro.server.workers import SolverWorkerPool
 from repro.service.batch import BatchSolver
 from repro.service.cache import CompileCache
 from repro.service.policy import RetryPolicy
 from repro.service.spec import SolveSpec, execute
 from repro.smt import ast
 from repro.smt.parser import parse_script
-from repro.smt.session import SessionError, SolverSession
 from repro.smt.solver import QuantumSMTSolver
-from repro.verify.oracle import DifferentialOracle
 
-#: Non-default values for every SolveSpec field the owners accept by name.
+#: Non-default values for every SolveSpec field the boundaries accept by name.
 SHARED = dict(
     num_reads=24,
     seed=7,
@@ -87,40 +85,112 @@ class TestSolveSpec:
         assert spec.optimizer(deadline_ms=50.0).deadline_ms == 50.0
 
 
-class TestOwnersHoldEqualSpecs:
-    def test_same_kwargs_same_spec(self):
-        batch = BatchSolver(**SHARED)
-        pool = SolverWorkerPool(workers=1, **SHARED)
-        process = ProcessSolverBackend(workers=1, **SHARED)
-        session = SolverSession(**SHARED)
-        server = SolverServer(ServerConfig(port=0, workers=1, **SHARED))
-        try:
-            specs = [
-                batch.spec,
-                pool.spec,
-                process.spec,
-                session.spec,
-                server.pool.spec,
-                server._new_session().spec,
-            ]
-        finally:
-            pool.shutdown()
-            process.shutdown()
-            server.pool.shutdown()
-        assert all(spec == specs[0] for spec in specs[1:])
-        assert specs[0] == SolveSpec(**SHARED)
+class TestOwnersHoldOneSpec:
+    def test_server_owners_hold_the_config_spec(self, monkeypatch):
+        built = []
+        solve_spec = ServerConfig.solve_spec
+
+        def recording(config):
+            built.append(solve_spec(config))
+            return built[-1]
+
+        monkeypatch.setattr(ServerConfig, "solve_spec", recording)
+        for backend in ("thread", "process"):
+            config = ServerConfig(port=0, workers=1, backend=backend, **SHARED)
+            built.clear()
+            server = SolverServer(config)
+            try:
+                assert len(built) == 1
+                assert server.spec is built[0]
+                assert server.pool.spec is built[0]
+                assert server._new_session().spec is built[0]
+            finally:
+                server.pool.shutdown()
+        assert built[0] == SolveSpec(**SHARED)
+
+    def test_campaign_oracle_holds_the_config_spec(self, monkeypatch):
+        from repro.service.batch import BatchSolver as Batch
+        from repro.verify import campaign
+
+        built, oracles, batches = [], [], []
+        solve_spec = campaign.CampaignConfig.solve_spec
+        solve_batch = Batch.solve_batch
+
+        def recording(config):
+            built.append(solve_spec(config))
+            return built[-1]
+
+        class RecordingOracle(campaign.DifferentialOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                oracles.append(self)
+
+        def recording_batch(batch, items, **params):
+            batches.append(batch)
+            return solve_batch(batch, items, **params)
+
+        monkeypatch.setattr(campaign.CampaignConfig, "solve_spec", recording)
+        monkeypatch.setattr(campaign, "DifferentialOracle", RecordingOracle)
+        monkeypatch.setattr(Batch, "solve_batch", recording_batch)
+        config = campaign.CampaignConfig(
+            instances=2, seed=5, num_reads=8, num_sweeps=32, max_attempts=2,
+            num_workers=2, shrink_failures=False,
+        )
+        campaign.run_campaign(config)
+        assert len(built) == 1 and len(oracles) == 1 and len(batches) == 1
+        assert oracles[0].spec is built[0]
+        assert batches[0].spec is built[0]
+        assert built[0] == SolveSpec(
+            num_reads=8,
+            seed=5,
+            sampler_params={"num_sweeps": 32},
+            policy=RetryPolicy(max_attempts=2),
+        )
+
+
+class TestCompileCached:
+    def test_session_and_oracle_sharing_a_registry(self):
+        # Sessions and the oracle compile through compile_cached but keep
+        # their own books: a shared registry gains compile timings and
+        # oracle verdicts, never cache.* counters.
+        from repro.service.metrics import MetricsRegistry
+        from repro.smt.session import SolverSession
+        from repro.verify.oracle import DifferentialOracle
+
+        spec = SolveSpec(seed=0, num_reads=8, sampler_params={"num_sweeps": 32})
+        metrics, cache = MetricsRegistry(), CompileCache(maxsize=16)
+        session = SolverSession(spec, cache=cache, metrics=metrics)
+        oracle = DifferentialOracle(spec, cache=cache, metrics=metrics)
+        x = ast.StrVar("x")
+        length = ast.Eq(ast.Length(x), ast.IntLit(2))
+        word = ast.Eq(x, ast.StrLit("ab"))
+        session.assert_term(length)
+        session.check_sat()
+        oracle.check([length])
+        session.push()
+        session.assert_term(word)
+        session.check_sat()
+        session.pop()
+        oracle.check([length, word])
+        oracle.check([length])
+        export = metrics.export()
+        assert export["counters"] == {
+            "oracle.agree_sat": 3,
+            "oracle.checks": 3,
+            "smt.check_sat": 5,
+            "smt.sat": 5,
+        }
+        assert export["histograms"]["compile"]["count"] == 2
+        assert (cache.stats.hits, cache.stats.misses) == (3, 2)
+        assert (session.stats.compile_hits, session.stats.compile_misses) == (0, 2)
 
 
 def _owners():
-    """``(name, build, exception type, accepts opt_*)`` per constructor."""
+    """``(name, build, accepts opt_*)`` per loose-keyword boundary."""
     return [
-        ("BatchSolver", BatchSolver, ValueError, True),
-        ("SolverWorkerPool", SolverWorkerPool, ValueError, True),
-        ("ProcessSolverBackend", ProcessSolverBackend, ValueError, True),
-        ("SolverSession", SolverSession, SessionError, True),
-        ("ServerConfig", ServerConfig, ValueError, True),
-        ("DifferentialOracle", DifferentialOracle, ValueError, False),
-        ("QuantumSMTSolver", QuantumSMTSolver, ValueError, False),
+        ("BatchSolver", BatchSolver, True),
+        ("ServerConfig", ServerConfig, True),
+        ("QuantumSMTSolver", QuantumSMTSolver, False),
     ]
 
 
@@ -142,22 +212,50 @@ VALIDATIONS = [
     ids=[next(iter(kw)) for kw, _, _ in VALIDATIONS],
 )
 @pytest.mark.parametrize(
-    "name,build,exc_type,accepts_opt",
+    "name,build,accepts_opt",
     _owners(),
     ids=[owner[0] for owner in _owners()],
 )
-def test_moved_validation(
-    name, build, exc_type, accepts_opt, kwargs, message, opt_only
-):
+def test_moved_validation(name, build, accepts_opt, kwargs, message, opt_only):
     if opt_only and not accepts_opt:
         pytest.skip(f"{name} takes no opt_* budget")
-    with pytest.raises(exc_type) as info:
+    with pytest.raises(ValueError) as info:
         build(**kwargs)
-    assert type(info.value) is exc_type
+    assert type(info.value) is ValueError
     assert str(info.value) == message
     with pytest.raises(ValueError) as info:
         SolveSpec(**kwargs)
     assert str(info.value) == message
+
+
+def _seeded_boundaries():
+    """``(name, build from a seed)`` per boundary that builds a SolveSpec."""
+    from repro.verify.campaign import CampaignConfig
+    from repro.verify.optimality import OptCampaignConfig
+
+    return [
+        ("SolveSpec", lambda seed: SolveSpec(seed=seed)),
+        ("BatchSolver", lambda seed: BatchSolver(seed=seed)),
+        ("ServerConfig", lambda seed: ServerConfig(seed=seed)),
+        ("CampaignConfig", lambda seed: CampaignConfig(seed=seed).solve_spec()),
+        (
+            "OptCampaignConfig",
+            lambda seed: OptCampaignConfig(seed=seed).solve_spec(),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,build",
+    _seeded_boundaries(),
+    ids=[boundary[0] for boundary in _seeded_boundaries()],
+)
+def test_live_seed_rejected(name, build):
+    with pytest.raises(TypeError, match="reproducible seed"):
+        build(np.random.default_rng(0))
+    with pytest.raises(TypeError, match="reproducible seed"):
+        build(random.Random(0))
+    assert build(7) is not None
 
 
 class TestExecute:

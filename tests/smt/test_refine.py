@@ -14,6 +14,7 @@ import pytest
 from repro.core.encoding import char_to_bits, encode_string, variable_index
 from repro.qubo.algebra import expand_states
 from repro.service.metrics import MetricsRegistry
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.parser import parse_script
 from repro.smt.refine import (
@@ -267,7 +268,7 @@ class TestRefineSolve:
 
 class TestRefineThroughSession:
     def test_session_refine_strategy_sat(self):
-        session = SolverSession(strategy="refine", **FAST)
+        session = SolverSession(SolveSpec(strategy="refine", **FAST))
         session.declare_const("x")
         session.assert_term(ast.Eq(ast.StrVar("x"), ast.StrLit("qbit")))
         result = session.check_sat()
@@ -275,13 +276,11 @@ class TestRefineThroughSession:
         assert result.model == {"x": "qbit"}
 
     def test_session_rejects_unknown_strategy(self):
-        from repro.smt.session import SessionError
-
-        with pytest.raises(SessionError):
-            SolverSession(strategy="quantum-leap")
+        with pytest.raises(ValueError, match="strategy"):
+            SolverSession(SolveSpec(strategy="quantum-leap"))
 
     def test_push_pop_with_refine(self):
-        session = SolverSession(strategy="refine", **FAST)
+        session = SolverSession(SolveSpec(strategy="refine", **FAST))
         session.declare_const("x")
         session.assert_term(ast.Eq(ast.Length(ast.StrVar("x")), ast.IntLit(2)))
         session.push()

@@ -8,9 +8,11 @@ compile cache, warm starts, fragment parsing, and the script walkers.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.service.cache import CompileCache
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.parser import parse_script
 from repro.smt.session import (
@@ -38,10 +40,8 @@ PUSH_POP_SCRIPT = """
 """
 
 
-def make_session(**overrides) -> SolverSession:
-    settings = dict(FAST)
-    settings.update(overrides)
-    return SolverSession(**settings)
+def make_session(**options) -> SolverSession:
+    return SolverSession(SolveSpec(**FAST), **options)
 
 
 def eq(var: str, word: str) -> ast.Term:
@@ -191,6 +191,14 @@ class TestCheckSat:
             session.get_model()
 
 
+class TestSeedContract:
+    def test_live_rng_seed_rejected(self):
+        # The delta contract needs a reproducible seed: a live generator
+        # changes every compile key and answer between re-pushes.
+        with pytest.raises(TypeError, match="reproducible seed"):
+            SolverSession(SolveSpec(**dict(FAST, seed=np.random.default_rng(0))))
+
+
 class TestWarmStart:
     def test_warm_model_reverified_on_compatible_extension(self):
         session = make_session(warm_start=True)
@@ -245,7 +253,7 @@ class TestScriptExecution:
         assert results[2] == results[0]
 
     def test_run_session_script_builds_a_fresh_session(self):
-        results = run_session_script(PUSH_POP_SCRIPT, **FAST)
+        results = run_session_script(PUSH_POP_SCRIPT, spec=SolveSpec(**FAST))
         assert len(results) == 3
         assert results[0].status is SolveStatus.SAT
 

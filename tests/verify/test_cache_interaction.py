@@ -8,6 +8,7 @@ and campaign levels.
 """
 
 from repro.service.cache import CompileCache
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.generator import InstanceGenerator
 from repro.verify import DifferentialOracle
@@ -16,7 +17,7 @@ FAST = dict(num_reads=48, sampler_params={"num_sweeps": 300})
 
 
 def _oracle(cache):
-    return DifferentialOracle(seed=0, cache=cache, **FAST)
+    return DifferentialOracle(SolveSpec(seed=0, **FAST), cache=cache)
 
 
 class TestColdVsWarm:
@@ -33,7 +34,7 @@ class TestColdVsWarm:
 
     def test_shared_cache_across_oracles_same_reports(self):
         cache = CompileCache(maxsize=64)
-        uncached = DifferentialOracle(seed=0, **FAST)
+        uncached = DifferentialOracle(SolveSpec(seed=0, **FAST))
         cached = _oracle(cache)
         inst = InstanceGenerator(seed=14, ops="all").generate()
         a = uncached.check(inst.assertions, witness=inst.witness)
@@ -44,10 +45,10 @@ class TestColdVsWarm:
     def test_cache_key_distinguishes_seeds(self):
         cache = CompileCache(maxsize=64)
         inst = InstanceGenerator(seed=15, ops="all").generate()
-        DifferentialOracle(seed=0, cache=cache, **FAST).check(
+        DifferentialOracle(SolveSpec(seed=0, **FAST), cache=cache).check(
             inst.assertions, witness=inst.witness
         )
-        report = DifferentialOracle(seed=1, cache=cache, **FAST).check(
+        report = DifferentialOracle(SolveSpec(seed=1, **FAST), cache=cache).check(
             inst.assertions, witness=inst.witness
         )
         # Different solver seed -> different cache key -> no false hit.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.status import SolveStatus
 from repro.verify import (
@@ -72,7 +73,7 @@ class TestReplay:
             str(tmp_path), "sat-case", _case_assertions(),
             expected=SolveStatus.SAT,
         )
-        oracle = DifferentialOracle(seed=0, **FAST_ORACLE)
+        oracle = DifferentialOracle(SolveSpec(seed=0, **FAST_ORACLE))
         report = replay_corpus(str(tmp_path), oracle)
         assert report.total == 1
         assert sum(report.verdicts.values()) == 1
@@ -90,7 +91,7 @@ class TestReplay:
         import pathlib
 
         corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-        oracle = DifferentialOracle(seed=0, **FAST_ORACLE)
+        oracle = DifferentialOracle(SolveSpec(seed=0, **FAST_ORACLE))
         report = replay_corpus(str(corpus), oracle)
         assert report.total > 0
         assert report.ok, report.text_report()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.solver import SmtResult
 from repro.smt.status import SolveStatus
@@ -21,7 +22,7 @@ def _assertions():
 @pytest.fixture(scope="module")
 def oracle():
     return DifferentialOracle(
-        seed=0, num_reads=48, sampler_params={"num_sweeps": 300}
+        SolveSpec(seed=0, num_reads=48, sampler_params={"num_sweeps": 300})
     )
 
 
@@ -119,9 +120,7 @@ class TestEndToEnd:
 
     def test_dpllt_reference(self):
         oracle = DifferentialOracle(
-            seed=0,
-            num_reads=48,
-            sampler_params={"num_sweeps": 300},
+            SolveSpec(seed=0, num_reads=48, sampler_params={"num_sweeps": 300}),
             reference="dpllt",
         )
         report = oracle.check(_assertions(), witness={"x": "ab"})
@@ -129,22 +128,20 @@ class TestEndToEnd:
 
     def test_bad_reference_name_rejected(self):
         with pytest.raises(ValueError):
-            DifferentialOracle(reference="z3")
+            DifferentialOracle(SolveSpec(seed=0), reference="z3")
 
     def test_non_int_seed_rejected(self):
         import random
 
         with pytest.raises(TypeError):
-            DifferentialOracle(seed=random.Random(0))
+            DifferentialOracle(SolveSpec(seed=random.Random(0)))
 
     def test_metrics_counters_recorded(self):
         from repro.service.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
         oracle = DifferentialOracle(
-            seed=0,
-            num_reads=48,
-            sampler_params={"num_sweeps": 300},
+            SolveSpec(seed=0, num_reads=48, sampler_params={"num_sweeps": 300}),
             metrics=metrics,
         )
         oracle.check(_assertions(), witness={"x": "ab"})
