@@ -14,9 +14,11 @@ This file runs two ways:
   referenced from EXPERIMENTS.md;
 * with ``--smoke`` it is the CI ``server-smoke`` job: start the server,
   fire a 20-request mixed sat/unsat/parse-error burst through the client
-  library, assert every envelope is well-formed and ``/healthz`` is
-  green, exercise graceful shutdown, and exit non-zero on any violation
-  — all inside a bounded wall-clock budget.
+  library, drive one sticky session (open → assert → push → check → pop
+  → check → close) through :class:`SolverClient`, assert every envelope
+  is well-formed, ``/healthz`` is green and the accounting identity
+  covers the session requests too, exercise graceful shutdown, and exit
+  non-zero on any violation — all inside a bounded wall-clock budget.
 
 Scale-out flags: ``--backend process`` swaps the shard-local solve pool
 for worker processes; ``--shards N`` stands up N shard servers behind a
@@ -55,6 +57,10 @@ PARSE_ERROR_SCRIPTS = [
     ")))) garbage ((((",
     "(declare-const x String)(assert (= y x))(check-sat)",
 ]
+
+
+#: The base frame of the smoke run's sticky session.
+SESSION_BASE = "(declare-const x String)(assert (= (str.len x) 2))"
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -179,6 +185,33 @@ def check_accounting(metrics: Dict) -> List[str]:
     return []
 
 
+def run_session(target) -> List[str]:
+    """Drive one sticky session through *target* (server or router):
+    open → assert → push → check → pop → check → close. Returns the
+    violations (empty = clean)."""
+    with SolverClient(target.host, target.port, timeout=120.0) as client:
+        opened = client.session_open()
+        if not opened.ok:
+            return [f"session open failed: {opened!r}"]
+        sid = opened.envelope.request_id
+        steps = [
+            ("assert", lambda: client.session_assert(sid, SESSION_BASE)),
+            ("push", lambda: client.session_push(sid)),
+            ("check", lambda: client.session_check(sid)),
+            ("pop", lambda: client.session_pop(sid)),
+            ("check", lambda: client.session_check(sid)),
+            ("close", lambda: client.session_close(sid)),
+        ]
+        failures = []
+        for name, step in steps:
+            reply = step()
+            if not reply.ok:
+                failures.append(f"session {name} failed: {reply!r}")
+            elif name == "check" and reply.status not in ("sat", "unsat", "unknown"):
+                failures.append(f"session check answered {reply.status!r}")
+        return failures
+
+
 def check_envelopes(report: LoadReport, expect_parse_errors: bool) -> List[str]:
     failures: List[str] = []
     if len(report.latencies_ms) != report.submitted:
@@ -277,6 +310,8 @@ def run_sharded(args, requests: int, clients: int, scripts: List[str]):
         # run_burst only touches .host/.port, so the router passes as the
         # target transparently.
         reports = [run_burst(router, scripts, clients) for _ in range(args.repeat)]
+        if args.smoke:
+            failures += run_session(router)
 
         with SolverClient(router.host, router.port) as probe:
             health = probe.healthz()
@@ -423,6 +458,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         reports = [run_burst(server, scripts, clients) for _ in range(args.repeat)]
         report = reports[-1]
+        if args.smoke:
+            failures += run_session(server)
 
         with SolverClient(server.host, server.port) as probe:
             health = probe.healthz()

@@ -30,7 +30,7 @@ worker threads) is internally locked.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional
+from typing import Awaitable, Dict, Optional, TypeVar
 
 from repro.service.metrics import MetricsRegistry
 
@@ -39,7 +39,10 @@ __all__ = [
     "DeadlineExceededError",
     "DrainingError",
     "OverloadedError",
+    "within",
 ]
+
+T = TypeVar("T")
 
 
 class OverloadedError(RuntimeError):
@@ -69,6 +72,28 @@ class DeadlineExceededError(RuntimeError):
         )
         self.phase = phase
         self.budget = budget
+
+
+async def within(
+    awaitable: Awaitable[T],
+    remaining: Optional[float],
+    phase: str,
+    metrics: MetricsRegistry,
+) -> T:
+    """Await *awaitable* for at most *remaining* seconds (``None``: no bound).
+
+    On expiry the wait is cancelled, ``server.timeout`` and
+    ``server.timeout.<phase>`` are counted and
+    :class:`DeadlineExceededError` is raised.
+    """
+    if remaining is None:
+        return await awaitable
+    try:
+        return await asyncio.wait_for(awaitable, timeout=max(remaining, 1e-3))
+    except asyncio.TimeoutError:
+        metrics.counter("server.timeout").inc()
+        metrics.counter(f"server.timeout.{phase}").inc()
+        raise DeadlineExceededError(phase, max(remaining, 0.0)) from None
 
 
 class AdmissionQueue:

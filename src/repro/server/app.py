@@ -3,8 +3,15 @@
 Request path (``POST /solve``)::
 
     read (size-gated) → parse envelope → parse SMT-LIB → admit (bounded
-    queue) → wait for worker slot (deadline-aware) → solve on executor
-    thread (deadline-aware, cancellable) → respond
+    queue) → wait for worker slot (deadline-aware) → solve on the worker
+    pool (deadline-aware, cancellable) → respond
+
+Everything from admission to the response envelope is one runner,
+:meth:`SolverServer._run_admitted`, shared by ``/solve`` and
+``/session/check``: a session check waits for its session lock after the
+worker slot (queue time, deadline-bounded) and runs ``check_sat`` on an
+executor thread (solve time), so ``queue_ms`` and ``solve_ms`` are
+disjoint on both paths.
 
 The listener, the lifecycle state machine (CREATED → SERVING → DRAINING →
 STOPPED), the keep-alive connection loop and the route shell are the
@@ -26,8 +33,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
-from typing import Any, Awaitable, Dict, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Awaitable, Callable, Dict, Optional
 
 from repro.server import httpio
 from repro.server.admission import (
@@ -35,6 +42,7 @@ from repro.server.admission import (
     DeadlineExceededError,
     DrainingError,
     OverloadedError,
+    within,
 )
 from repro.server.base import (
     BackgroundService,
@@ -59,6 +67,7 @@ from repro.server.protocol import (
     locate_parse_error,
 )
 from repro.server.sessions import (
+    ManagedSession,
     SessionGoneError,
     SessionLimitError,
     SessionManager,
@@ -67,7 +76,7 @@ from repro.server.workers import SolverWorkerPool
 from repro.service.cache import CompileCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.policy import RetryPolicy
-from repro.service.spec import SolveSpec
+from repro.service.spec import SolveOutcome, SolveSpec
 from repro.smt.parser import ParseError, parse_script
 from repro.smt.session import SessionError, SolverSession
 from repro.smt.sexpr import SExprError
@@ -331,94 +340,79 @@ class SolverServer(HttpService):
             self.metrics.counter("server.internal").inc()
             return error_reply(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}")
 
-    async def _solve_inner(self, request: httpio.HttpRequest) -> ResponseEnvelope:
-        # 1. request envelope
-        try:
-            solve_request = SolveRequest.from_body(request.body, request.content_type)
-        except ValueError as exc:
-            self.metrics.counter("server.rejected.bad_request").inc()
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_BAD_REQUEST, message=str(exc))
-            )
-
-        # 2. SMT-LIB parse — malformed scripts get located parse envelopes,
-        #    never a crashed connection.
-        try:
-            script = parse_script(solve_request.script)
-        except (ParseError, SExprError) as exc:
-            self.metrics.counter("server.rejected.parse").inc()
-            return ResponseEnvelope.failure(
-                locate_parse_error(solve_request.script, exc),
-                request_id=solve_request.request_id,
-            )
-
-        deadline_ms = (
-            solve_request.deadline_ms
-            if solve_request.deadline_ms is not None
-            else self.config.deadline_ms
+    def _reject(
+        self,
+        error_type: str,
+        message: str,
+        request_id: Optional[str] = None,
+        *,
+        counted: bool = False,
+    ) -> ResponseEnvelope:
+        """A typed rejection, counted as ``server.rejected.<type>`` unless
+        the admission queue already *counted* it."""
+        if not counted:
+            self.metrics.counter(f"server.rejected.{error_type}").inc()
+        return ResponseEnvelope.failure(
+            ErrorInfo(type=error_type, message=message), request_id=request_id
         )
-        deadline = time.monotonic() + deadline_ms / 1000.0
 
-        # 3. admission (bounded queue; explicit backpressure)
+    async def _run_admitted(
+        self,
+        request_id: Optional[str],
+        deadline_ms: Optional[float],
+        solve: Callable[[float], Awaitable[SolveOutcome]],
+        wait: Optional[Callable[[float], Awaitable[Any]]] = None,
+    ) -> ResponseEnvelope:
+        """Run one admitted request: the one path of ``/solve`` and of
+        session checks.
+
+        Admission, the deadline-bounded wait for a worker slot, then
+        *wait* (more queue time, e.g. a session lock) and *solve*, each
+        given the remaining budget in seconds; the slot is released
+        exactly once, the request accounted and answered. *wait* and
+        *solve* raise :class:`DeadlineExceededError` (counted by whoever
+        enforces that deadline) when the budget runs out.
+        """
+        budget_ms = deadline_ms if deadline_ms is not None else self.config.deadline_ms
+        deadline = time.monotonic() + budget_ms / 1000.0
         try:
             self.queue.try_admit()
         except OverloadedError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_OVERLOADED, message=str(exc)),
-                request_id=solve_request.request_id,
-            )
+            return self._reject(ERROR_OVERLOADED, str(exc), request_id, counted=True)
         except DrainingError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_DRAINING, message=str(exc)),
-                request_id=solve_request.request_id,
-            )
+            return self._reject(ERROR_DRAINING, str(exc), request_id, counted=True)
 
-        # 4. wait for a worker slot, spending the deadline budget
         queue_timer = time.monotonic()
+        queue_ms = 0.0
+        solve_timer: Optional[float] = None
+        acquired = False
         try:
             await self.queue.acquire_slot(deadline - time.monotonic())
+            acquired = True
+            if wait is not None:
+                await wait(deadline - time.monotonic())
+            queue_ms = _ms_since(queue_timer)
+            solve_timer = time.monotonic()
+            outcome = await solve(deadline - time.monotonic())
         except DeadlineExceededError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_TIMEOUT, message=str(exc)),
-                status="timeout",
-                queue_ms=(time.monotonic() - queue_timer) * 1000.0,
-                request_id=solve_request.request_id,
-            )
-        except asyncio.CancelledError:
-            self.metrics.counter("server.cancelled").inc()
-            raise
-        queue_ms = (time.monotonic() - queue_timer) * 1000.0
-
-        # 5. solve on the worker pool — scripts carrying assert-soft
-        #    commands route to the weighted-MaxSMT optimize path instead.
-        solve_timer = time.monotonic()
-        try:
-            if script.soft_assertions:
-                outcome = await self.pool.optimize(
-                    script.assertions,
-                    script.soft_assertions,
-                    remaining=deadline - time.monotonic(),
-                )
-            else:
-                outcome = await self.pool.solve(
-                    script.assertions, remaining=deadline - time.monotonic()
-                )
-        except DeadlineExceededError as exc:
+            if solve_timer is None:  # expired while queued
+                queue_ms = _ms_since(queue_timer)
             return ResponseEnvelope.failure(
                 ErrorInfo(type=ERROR_TIMEOUT, message=str(exc)),
                 status="timeout",
                 queue_ms=queue_ms,
-                solve_ms=(time.monotonic() - solve_timer) * 1000.0,
-                request_id=solve_request.request_id,
+                solve_ms=0.0 if solve_timer is None else _ms_since(solve_timer),
+                request_id=request_id,
             )
         except asyncio.CancelledError:
-            # Shutdown cancelled us mid-solve: typed envelope, then let the
-            # connection unwind.
+            # Shutdown cancelled us queued or mid-solve: the connection
+            # loop answers with a typed envelope.
             self.metrics.counter("server.cancelled").inc()
             raise
         finally:
-            self.queue.release_slot()
-        solve_ms = (time.monotonic() - solve_timer) * 1000.0
+            if acquired:
+                self.queue.release_slot()
+        solve_ms = _ms_since(solve_timer)
 
         self.metrics.counter("server.completed").inc()
         self.metrics.counter(f"server.status.{outcome.status}").inc()
@@ -433,30 +427,45 @@ class SolverServer(HttpService):
             cache_hit=outcome.cache_hit,
             queue_ms=queue_ms,
             solve_ms=solve_ms,
-            request_id=solve_request.request_id,
+            request_id=request_id,
             opt_status=outcome.opt_status,
             objective=outcome.objective,
             lower_bound=outcome.lower_bound,
             upper_bound=outcome.upper_bound,
         )
 
+    async def _solve_inner(self, request: httpio.HttpRequest) -> ResponseEnvelope:
+        try:
+            solve_request = SolveRequest.from_body(request.body, request.content_type)
+        except ValueError as exc:
+            return self._reject(ERROR_BAD_REQUEST, str(exc))
+        # Malformed scripts get located parse envelopes, never a crashed
+        # connection.
+        try:
+            script = parse_script(solve_request.script)
+        except (ParseError, SExprError) as exc:
+            self.metrics.counter("server.rejected.parse").inc()
+            return ResponseEnvelope.failure(
+                locate_parse_error(solve_request.script, exc),
+                request_id=solve_request.request_id,
+            )
+
+        def solve(remaining: float) -> Awaitable[SolveOutcome]:
+            # Scripts carrying assert-soft commands take the weighted-MaxSMT
+            # optimize path; the pool enforces the deadline.
+            if script.soft_assertions:
+                return self.pool.optimize(
+                    script.assertions, script.soft_assertions, remaining=remaining
+                )
+            return self.pool.solve(script.assertions, remaining=remaining)
+
+        return await self._run_admitted(
+            solve_request.request_id, solve_request.deadline_ms, solve
+        )
 
     # ------------------------------------------------------------------ #
     # sticky sessions (/session/*)
     # ------------------------------------------------------------------ #
-
-    def _session_reject(
-        self, error_type: str, message: str, *, request_id: Optional[str] = None
-    ) -> ResponseEnvelope:
-        counter = {
-            ERROR_BAD_REQUEST: "server.rejected.bad_request",
-            ERROR_DRAINING: "server.rejected.draining",
-            ERROR_OVERLOADED: "server.rejected.overloaded",
-        }[error_type]
-        self.metrics.counter(counter).inc()
-        return ResponseEnvelope.failure(
-            ErrorInfo(type=error_type, message=message), request_id=request_id
-        )
 
     async def _session_inner(
         self, request: httpio.HttpRequest, op: str
@@ -464,26 +473,20 @@ class SolverServer(HttpService):
         try:
             req = SessionRequest.from_body(request.body, request.content_type)
         except ValueError as exc:
-            return self._session_reject(ERROR_BAD_REQUEST, str(exc))
+            return self._reject(ERROR_BAD_REQUEST, str(exc))
         rid = req.request_id or req.session_id
 
         if op == "open":
             if self.state is not ServerState.SERVING:
-                return self._session_reject(
-                    ERROR_DRAINING,
-                    "server is draining; not opening new sessions",
-                    request_id=rid,
+                return self._reject(
+                    ERROR_DRAINING, "server is draining; not opening new sessions", rid
                 )
             try:
                 managed = self.sessions.open(req.session_id)
             except SessionLimitError as exc:
-                return self._session_reject(
-                    ERROR_OVERLOADED, str(exc), request_id=rid
-                )
+                return self._reject(ERROR_OVERLOADED, str(exc), rid)
             except ValueError as exc:
-                return self._session_reject(
-                    ERROR_BAD_REQUEST, str(exc), request_id=rid
-                )
+                return self._reject(ERROR_BAD_REQUEST, str(exc), rid)
             self.metrics.counter("server.completed").inc()
             return ResponseEnvelope.success(
                 "open", request_id=req.request_id or managed.session_id
@@ -491,15 +494,13 @@ class SolverServer(HttpService):
 
         # Every other op addresses an existing session.
         if not req.session_id:
-            return self._session_reject(
-                ERROR_BAD_REQUEST,
-                f"/session/{op} needs a 'session' id",
-                request_id=rid,
+            return self._reject(
+                ERROR_BAD_REQUEST, f"/session/{op} needs a 'session' id", rid
             )
         try:
             managed = self.sessions.get(req.session_id)
         except SessionGoneError as exc:
-            return self._session_reject(ERROR_BAD_REQUEST, str(exc), request_id=rid)
+            return self._reject(ERROR_BAD_REQUEST, str(exc), rid)
 
         if op == "close":
             # Drain-aware: close is allowed in every state and waits out a
@@ -515,158 +516,78 @@ class SolverServer(HttpService):
             )
 
         if op == "check":
-            return await self._session_check(managed, req)
+            return await self._session_check(managed, rid, req.deadline_ms)
 
         # Mutations (assert/push/pop): rejected while draining, serialized
         # against any in-flight check by the session lock.
         if self.state is not ServerState.SERVING:
-            return self._session_reject(
+            return self._reject(
                 ERROR_DRAINING,
                 "server is draining; not accepting session mutations",
-                request_id=rid,
+                rid,
             )
         async with managed.lock:
             session = managed.session
-            if op == "assert":
-                try:
-                    added = session.assert_text(req.script)
-                except (ParseError, SExprError) as exc:
-                    self.metrics.counter("server.rejected.parse").inc()
-                    return ResponseEnvelope.failure(
-                        locate_parse_error(req.script, exc), request_id=rid
-                    )
-                except SessionError as exc:
-                    return self._session_reject(
-                        ERROR_BAD_REQUEST, str(exc), request_id=rid
-                    )
-                reason = f"depth={session.depth} added={added}"
-            elif op == "push":
-                session.push(req.levels)
-                reason = f"depth={session.depth}"
-            else:  # pop
-                try:
+            added = ""
+            try:
+                if op == "assert":
+                    added = f" added={session.assert_text(req.script)}"
+                elif op == "push":
+                    session.push(req.levels)
+                else:
                     session.pop(req.levels)
-                except SessionError as exc:
-                    return self._session_reject(
-                        ERROR_BAD_REQUEST, str(exc), request_id=rid
-                    )
-                reason = f"depth={session.depth}"
+            except (ParseError, SExprError) as exc:
+                self.metrics.counter("server.rejected.parse").inc()
+                return ResponseEnvelope.failure(
+                    locate_parse_error(req.script, exc), request_id=rid
+                )
+            except SessionError as exc:  # pop past the base frame, ...
+                return self._reject(ERROR_BAD_REQUEST, str(exc), rid)
+            reason = f"depth={session.depth}{added}"
             managed.touch()
         self.metrics.counter("server.completed").inc()
         return ResponseEnvelope.success("ok", reason=reason, request_id=rid)
 
-    async def _session_check(
-        self, managed, req: SessionRequest
-    ) -> ResponseEnvelope:
-        rid = req.request_id or req.session_id
-        deadline_ms = (
-            req.deadline_ms if req.deadline_ms is not None else self.config.deadline_ms
-        )
-        deadline = time.monotonic() + deadline_ms / 1000.0
+    def _session_check(
+        self, managed: ManagedSession, rid: Optional[str], deadline_ms: Optional[float]
+    ) -> Awaitable[ResponseEnvelope]:
+        """Check-sat one session through the admitted-work runner."""
+        session = managed.session
 
-        try:
-            self.queue.try_admit()
-        except OverloadedError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_OVERLOADED, message=str(exc)), request_id=rid
-            )
-        except DrainingError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_DRAINING, message=str(exc)), request_id=rid
-            )
+        def lock(remaining: float) -> Awaitable[bool]:
+            # Serialize against mutations and other checks on this
+            # session; the lock wait is queue time.
+            return within(managed.lock.acquire(), remaining, "queued", self.metrics)
 
-        queue_timer = time.monotonic()
-        try:
-            await self.queue.acquire_slot(deadline - time.monotonic())
-        except DeadlineExceededError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_TIMEOUT, message=str(exc)),
-                status="timeout",
-                queue_ms=(time.monotonic() - queue_timer) * 1000.0,
-                request_id=rid,
-            )
-        except asyncio.CancelledError:
-            self.metrics.counter("server.cancelled").inc()
-            raise
+        def release(_future: Any) -> None:
+            managed.touch()
+            if managed.lock.locked():
+                managed.lock.release()
 
-        solve_timer = time.monotonic()
-        try:
-            # Serialize against mutations and concurrent checks on the same
-            # session; bound the lock wait by the remaining deadline.
-            try:
-                await asyncio.wait_for(
-                    managed.lock.acquire(), timeout=deadline - time.monotonic()
-                )
-            except asyncio.TimeoutError:
-                self.metrics.counter("server.timeout").inc()
-                self.metrics.counter("server.timeout.queued").inc()
-                return ResponseEnvelope.failure(
-                    ErrorInfo(
-                        type=ERROR_TIMEOUT,
-                        message="deadline exceeded waiting on the session lock",
-                    ),
-                    status="timeout",
-                    queue_ms=(time.monotonic() - queue_timer) * 1000.0,
-                    request_id=rid,
-                )
-            queue_ms = (time.monotonic() - queue_timer) * 1000.0
-            session = managed.session
+        async def check(remaining: float) -> SolveOutcome:
             hits_before = session.stats.memo_hits + session.stats.warm_hits
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(None, session.check_sat)
-            # The lock is released when the *thread* finishes — even if the
-            # await below times out first — so a straggling solve can never
+            future = asyncio.get_running_loop().run_in_executor(
+                None, session.check_sat
+            )
+            # The lock is released when the *thread* finishes — even if
+            # the deadline fires first — so a straggling solve can never
             # race a later mutation, and expiry (which skips locked
             # sessions) can never reap a session mid-solve.
-            future.add_done_callback(lambda _f: self._release_session(managed))
-            try:
-                result = await asyncio.wait_for(
-                    asyncio.shield(future), timeout=deadline - time.monotonic()
-                )
-            except asyncio.TimeoutError:
-                self.metrics.counter("server.timeout").inc()
-                self.metrics.counter("server.timeout.solving").inc()
-                return ResponseEnvelope.failure(
-                    ErrorInfo(
-                        type=ERROR_TIMEOUT,
-                        message=(
-                            f"deadline exceeded after {deadline_ms:.0f} ms "
-                            "(session check still completing in background)"
-                        ),
-                    ),
-                    status="timeout",
-                    queue_ms=queue_ms,
-                    solve_ms=(time.monotonic() - solve_timer) * 1000.0,
-                    request_id=rid,
-                )
-            except asyncio.CancelledError:
-                self.metrics.counter("server.cancelled").inc()
-                raise
-        finally:
-            self.queue.release_slot()
+            future.add_done_callback(release)
+            result = await within(
+                asyncio.shield(future), remaining, "solving", self.metrics
+            )
+            reason = result.reason or f"depth={session.depth}"
+            hits = session.stats.memo_hits + session.stats.warm_hits
+            return SolveOutcome(
+                result=replace(result, reason=reason), cache_hit=hits > hits_before
+            )
 
-        solve_ms = (time.monotonic() - solve_timer) * 1000.0
-        cache_hit = (
-            session.stats.memo_hits + session.stats.warm_hits > hits_before
-        )
-        self.metrics.counter("server.completed").inc()
-        self.metrics.counter(f"server.status.{result.status}").inc()
-        self.metrics.observe("server.queue_wait", queue_ms / 1000.0)
-        self.metrics.observe("server.solve_wall", solve_ms / 1000.0)
-        return ResponseEnvelope.success(
-            result.status,
-            result.model,
-            reason=result.reason or f"depth={session.depth}",
-            cache_hit=cache_hit,
-            queue_ms=queue_ms,
-            solve_ms=solve_ms,
-            request_id=rid,
-        )
+        return self._run_admitted(rid, deadline_ms, check, wait=lock)
 
-    def _release_session(self, managed) -> None:
-        managed.touch()
-        if managed.lock.locked():
-            managed.lock.release()
+
+def _ms_since(start: float) -> float:
+    return (time.monotonic() - start) * 1000.0
 
 
 # --------------------------------------------------------------------- #

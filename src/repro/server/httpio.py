@@ -13,6 +13,12 @@ maximum, so an oversized payload is rejected with a typed ``too_large``
 response *before* its bytes are buffered. Requests without a length
 declaration are read through a hard cap and rejected the moment they
 exceed it.
+
+Client side, :func:`round_trip` is the one asyncio request on a fresh
+connection that the shard router and :class:`~repro.server.client.
+AsyncSolverClient` both use. It fails with one of two typed errors:
+:class:`ConnectFailed` (nothing was sent, so another server may be tried)
+or :class:`ExchangeFailed` (the request may have arrived).
 """
 
 from __future__ import annotations
@@ -22,13 +28,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = [
+    "ConnectFailed",
+    "ExchangeFailed",
     "HttpRequest",
     "ProtocolError",
     "RequestTooLarge",
+    "RoundTripError",
     "read_request",
     "read_response",
     "render_request",
     "render_response",
+    "round_trip",
 ]
 
 #: Upper bound on the request line + header block, independent of the body.
@@ -51,6 +61,19 @@ _REASONS = {
 
 class ProtocolError(ValueError):
     """Malformed HTTP framing (bad request line, bad Content-Length, ...)."""
+
+
+class RoundTripError(ConnectionError):
+    """A client round trip (:func:`round_trip`) failed."""
+
+
+class ConnectFailed(RoundTripError):
+    """The connection could not be opened: nothing was sent."""
+
+
+class ExchangeFailed(RoundTripError):
+    """The connection was open and the exchange then failed: the peer may
+    have received the request."""
 
 
 class RequestTooLarge(ValueError):
@@ -241,7 +264,10 @@ async def read_response(
     parts = lines[0].split(None, 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/"):
         raise ProtocolError(f"malformed status line {lines[0]!r}")
-    status = int(parts[1])
+    try:
+        status = int(parts[1])
+    except ValueError:
+        raise ProtocolError(f"malformed status line {lines[0]!r}") from None
     headers = _parse_headers(lines[1:])
     length = _content_length(headers)
     if length is None:
@@ -249,3 +275,51 @@ async def read_response(
     else:
         body = await reader.readexactly(length) if length else b""
     return status, headers, body
+
+
+async def round_trip(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    body: bytes = b"",
+    *,
+    content_type: str = "text/plain",
+    connect_timeout: float,
+    timeout: float,
+) -> Tuple[int, bytes]:
+    """One request on a fresh connection → ``(status, body)``.
+
+    The request says ``Connection: close`` and the connection is closed
+    after the response. Raises :class:`ConnectFailed` if the connection
+    cannot be opened within *connect_timeout* and :class:`ExchangeFailed`
+    for any failure after that (send, a truncated or malformed response,
+    no response within *timeout*).
+    """
+    address = f"{host}:{port}"
+    try:
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(host, port), timeout=connect_timeout
+        )
+    except (OSError, asyncio.TimeoutError) as exc:
+        raise ConnectFailed(f"{address}: {type(exc).__name__}: {exc}") from exc
+    try:
+        writer.write(
+            render_request(
+                method, path, body, host=address, content_type=content_type, close=True
+            )
+        )
+        await writer.drain()
+        status, _headers, payload = await asyncio.wait_for(
+            read_response(reader), timeout=timeout
+        )
+        return status, payload
+    # EOFError: the peer closed mid-response; ValueError: bad framing.
+    except (OSError, EOFError, ValueError, asyncio.TimeoutError) as exc:
+        raise ExchangeFailed(f"{address}: {type(exc).__name__}: {exc}") from exc
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (OSError, asyncio.CancelledError):  # pragma: no cover
+            pass

@@ -58,7 +58,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.server.admission import DeadlineExceededError
+from repro.server.admission import DeadlineExceededError, within
 from repro.service.cache import CacheStats, CompileCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.spec import SolveOutcome, SolveSpec, execute
@@ -173,8 +173,6 @@ class ProcessSolverBackend:
         backoff_initial: float = 0.1,
         backoff_max: float = 5.0,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         #: Pickled to every worker process at spawn time.
         self.spec = spec
         self.workers = workers
@@ -325,18 +323,10 @@ class ProcessSolverBackend:
             await loop.run_in_executor(self._io, handle.conn.send, job)
             reply_future = loop.run_in_executor(self._io, handle.conn.recv)
             try:
-                if remaining is None:
-                    reply = await asyncio.shield(reply_future)
-                else:
-                    reply = await asyncio.wait_for(
-                        asyncio.shield(reply_future), timeout=max(remaining, 1e-3)
-                    )
-            except asyncio.TimeoutError:
-                self._abandon(handle, reply_future)
-                self.metrics.counter("server.timeout").inc()
-                self.metrics.counter("server.timeout.solving").inc()
-                raise DeadlineExceededError("solving", remaining or 0.0) from None
-            except asyncio.CancelledError:
+                reply = await within(
+                    asyncio.shield(reply_future), remaining, "solving", self.metrics
+                )
+            except (DeadlineExceededError, asyncio.CancelledError):
                 self._abandon(handle, reply_future)
                 raise
         except (EOFError, OSError, BrokenPipeError) as exc:
@@ -361,16 +351,7 @@ class ProcessSolverBackend:
             return self._free.get_nowait()
         except asyncio.QueueEmpty:
             pass
-        try:
-            if remaining is None:
-                return await self._free.get()
-            return await asyncio.wait_for(
-                self._free.get(), timeout=max(remaining, 1e-3)
-            )
-        except asyncio.TimeoutError:
-            self.metrics.counter("server.timeout").inc()
-            self.metrics.counter("server.timeout.queued").inc()
-            raise DeadlineExceededError("queued", remaining or 0.0) from None
+        return await within(self._free.get(), remaining, "queued", self.metrics)
 
     def _abandon(self, handle: _WorkerHandle, reply_future) -> None:
         """Deadline/cancel path: kill the worker, swallow the orphaned recv."""

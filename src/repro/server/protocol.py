@@ -78,8 +78,10 @@ __all__ = [
     "SessionRequest",
     "SolveRequest",
     "http_status_for",
+    "json_object",
     "locate_parse_error",
     "offset_to_line_col",
+    "string_field",
 ]
 
 
@@ -144,27 +146,11 @@ class SolveRequest:
             if not text.strip():
                 raise ValueError("empty request body (expected an SMT-LIB script)")
             return cls(script=text)
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"JSON request body must be an object, got {type(payload).__name__}"
-            )
+        payload = json_object(text)
         script = payload.get("script")
         if not isinstance(script, str) or not script.strip():
             raise ValueError("JSON request body needs a non-empty 'script' string")
-        deadline_ms = payload.get("deadline_ms")
-        if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-                raise ValueError(
-                    f"deadline_ms must be a positive number, got {deadline_ms!r}"
-                )
-            deadline_ms = float(deadline_ms)
-        request_id = payload.get("id")
-        if request_id is not None and not isinstance(request_id, str):
-            raise ValueError(f"request id must be a string, got {request_id!r}")
+        deadline_ms, request_id = _deadline_and_id(payload)
         return cls(script=script, deadline_ms=deadline_ms, request_id=request_id)
 
 
@@ -193,17 +179,8 @@ class SessionRequest:
         text = body.decode("utf-8", errors="replace")
         if not text.strip():
             return cls()
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"JSON request body must be an object, got {type(payload).__name__}"
-            )
-        session_id = payload.get("session")
-        if session_id is not None and not isinstance(session_id, str):
-            raise ValueError(f"session must be a string, got {session_id!r}")
+        payload = json_object(text)
+        session_id = string_field(payload, "session", "session")
         script = payload.get("script", "")
         if not isinstance(script, str):
             raise ValueError(f"script must be a string, got {script!r}")
@@ -216,16 +193,7 @@ class SessionRequest:
             raise ValueError(
                 f"levels must be an integer in [0, {cls.MAX_LEVELS}], got {levels!r}"
             )
-        deadline_ms = payload.get("deadline_ms")
-        if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-                raise ValueError(
-                    f"deadline_ms must be a positive number, got {deadline_ms!r}"
-                )
-            deadline_ms = float(deadline_ms)
-        request_id = payload.get("id")
-        if request_id is not None and not isinstance(request_id, str):
-            raise ValueError(f"request id must be a string, got {request_id!r}")
+        deadline_ms, request_id = _deadline_and_id(payload)
         return cls(
             session_id=session_id,
             script=script,
@@ -233,6 +201,41 @@ class SessionRequest:
             deadline_ms=deadline_ms,
             request_id=request_id,
         )
+
+
+def json_object(text: str) -> Dict[str, Any]:
+    """Decode a JSON request body that must be one object."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"request body is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"JSON request body must be an object, got {type(payload).__name__}"
+        )
+    return payload
+
+
+def string_field(payload: Mapping[str, Any], key: str, label: str) -> Optional[str]:
+    """An optional string field of a decoded body (``None`` when absent)."""
+    value = payload.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{label} must be a string, got {value!r}")
+    return value
+
+
+def _deadline_and_id(
+    payload: Mapping[str, Any]
+) -> Tuple[Optional[float], Optional[str]]:
+    """The optional ``deadline_ms`` and ``id`` fields, checked in that order."""
+    deadline_ms = payload.get("deadline_ms")
+    if deadline_ms is not None:
+        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+            raise ValueError(
+                f"deadline_ms must be a positive number, got {deadline_ms!r}"
+            )
+        deadline_ms = float(deadline_ms)
+    return deadline_ms, string_field(payload, "id", "request id")
 
 
 # --------------------------------------------------------------------- #

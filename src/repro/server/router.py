@@ -50,7 +50,7 @@ import sys
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.server import httpio
 from repro.server.base import (
@@ -68,6 +68,8 @@ from repro.server.protocol import (
     ERROR_DRAINING,
     ERROR_UPSTREAM,
     SolveRequest,
+    json_object,
+    string_field,
 )
 from repro.service.cache import compile_cache_key
 from repro.service.metrics import MetricsRegistry
@@ -181,61 +183,6 @@ class RouterConfig(ListenerConfig):
             )
         if self.health_interval <= 0 or self.probe_timeout <= 0:
             raise ValueError("health_interval and probe_timeout must be positive")
-
-
-class _ShardError(RuntimeError):
-    """An upstream round trip failed."""
-
-
-class _ShardDown(_ShardError):
-    """Connect-phase failure: safe to fail over to the next shard."""
-
-
-class _ShardMidRequest(_ShardError):
-    """The shard accepted the request and then failed: no retry."""
-
-
-async def _round_trip(
-    spec: "ShardSpec",
-    method: str,
-    path: str,
-    body: bytes = b"",
-    *,
-    connect_timeout: float,
-    timeout: float,
-    content_type: str = "application/json",
-) -> Tuple[int, bytes]:
-    """One request to a shard on a fresh connection → ``(status, body)``.
-
-    Raises :class:`_ShardDown` if the connection cannot be opened (nothing
-    was sent) and :class:`_ShardMidRequest` if it fails after that.
-    """
-    try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(spec.host, spec.port), timeout=connect_timeout
-        )
-    except (OSError, asyncio.TimeoutError) as exc:
-        raise _ShardDown(f"{spec}: {type(exc).__name__}: {exc}") from exc
-    try:
-        writer.write(
-            httpio.render_request(
-                method, path, body, host=str(spec), content_type=content_type, close=True
-            )
-        )
-        await writer.drain()
-        status, _headers, payload = await asyncio.wait_for(
-            httpio.read_response(reader), timeout=timeout
-        )
-        return status, payload
-    # EOFError: the shard closed mid-body; ValueError: bad framing.
-    except (OSError, EOFError, ValueError, asyncio.TimeoutError) as exc:
-        raise _ShardMidRequest(f"{spec}: {type(exc).__name__}: {exc}") from exc
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (OSError, asyncio.CancelledError):  # pragma: no cover
-            pass
 
 
 @dataclass
@@ -380,7 +327,7 @@ class ShardRouter(HttpService):
     async def _probe_shard(self, state: ShardState) -> None:
         try:
             status, _body = await self._get(state.spec, "/healthz")
-        except _ShardError as exc:
+        except httpio.RoundTripError as exc:
             state.mark_down(str(exc))
             return
         if status == 200:
@@ -394,10 +341,8 @@ class ShardRouter(HttpService):
     # -------------------------------------------------------------- #
 
     def _get(self, spec: ShardSpec, path: str):
-        return _round_trip(
-            spec,
-            "GET",
-            path,
+        return httpio.round_trip(
+            spec.host, spec.port, "GET", path,
             connect_timeout=self.config.connect_timeout,
             timeout=self.config.probe_timeout,
         )
@@ -406,15 +351,11 @@ class ShardRouter(HttpService):
         self, index: int, path: str, body: bytes, content_type: str, timeout: float
     ) -> Reply:
         """Forward one POST to shard *index*; its answer passes through."""
+        spec = self.shards[index].spec
         try:
-            status, payload = await _round_trip(
-                self.shards[index].spec,
-                "POST",
-                path,
-                body,
-                content_type=content_type,
-                connect_timeout=self.config.connect_timeout,
-                timeout=timeout,
+            status, payload = await httpio.round_trip(
+                spec.host, spec.port, "POST", path, body, content_type=content_type,
+                connect_timeout=self.config.connect_timeout, timeout=timeout,
             )
         except asyncio.CancelledError:
             # The drain timeout ran out mid-proxy; the connection loop
@@ -479,10 +420,10 @@ class ShardRouter(HttpService):
                 return await self._proxy(
                     index, "/solve", request.body, request.content_type, timeout
                 )
-            except _ShardDown as exc:
+            except httpio.ConnectFailed as exc:
                 state.mark_down(str(exc))
                 last_error = str(exc)
-            except _ShardMidRequest as exc:
+            except httpio.ExchangeFailed as exc:
                 state.mark_down(str(exc))
                 return self._upstream_error(
                     f"shard {state.spec} failed mid-request: {exc}",
@@ -511,27 +452,16 @@ class ShardRouter(HttpService):
 
         text = request.body.decode("utf-8", errors="replace")
         try:
-            payload = json.loads(text) if text.strip() else {}
-        except json.JSONDecodeError as exc:
-            payload = None
-            bad = f"request body is not valid JSON: {exc}"
-        else:
-            bad = "" if isinstance(payload, dict) else (
-                f"JSON request body must be an object, got {type(payload).__name__}"
-            )
-        session_id = payload.get("session") if isinstance(payload, dict) else None
-        if not bad and session_id is not None and not isinstance(session_id, str):
-            bad = f"session must be a string, got {session_id!r}"
-        if not bad and not session_id:
-            if op == "open":
-                # Inject the id here so the sticky placement decision and
-                # the id the client learns are the same thing.
-                session_id = uuid.uuid4().hex
-                payload["session"] = session_id
-            else:
-                bad = f"/session/{op} needs a 'session' id"
-        if bad:
-            return self._reject(ERROR_BAD_REQUEST, bad)
+            payload = json_object(text) if text.strip() else {}
+            session_id = string_field(payload, "session", "session")
+            if not session_id and op != "open":
+                raise ValueError(f"/session/{op} needs a 'session' id")
+        except ValueError as exc:
+            return self._reject(ERROR_BAD_REQUEST, str(exc))
+        if not session_id:
+            # Inject the id here so the sticky placement decision and the
+            # id the client learns are the same thing.
+            session_id = payload["session"] = uuid.uuid4().hex
 
         index = shard_index(session_shard_key(session_id), len(self.shards))
         state = self.shards[index]
@@ -543,7 +473,7 @@ class ShardRouter(HttpService):
                 "application/json",
                 self._proxy_timeout(payload.get("deadline_ms")),
             )
-        except _ShardError as exc:
+        except httpio.RoundTripError as exc:
             state.mark_down(str(exc))
             return self._upstream_error(
                 f"session shard {state.spec} (shard_{index}) unavailable: {exc}",
@@ -583,7 +513,7 @@ class ShardRouter(HttpService):
                 if status != 200:
                     return {"error": f"/metrics answered {status}"}
                 return json.loads(payload.decode("utf-8"))
-            except (_ShardError, ValueError) as exc:
+            except (httpio.RoundTripError, ValueError) as exc:
                 return {"error": f"{type(exc).__name__}: {exc}"}
 
         shard_payloads = await asyncio.gather(*(fetch(s) for s in self.shards))
@@ -706,14 +636,12 @@ class ShardFleet:
                 )
             for index in list(pending):
                 try:
-                    status, _body = await _round_trip(
-                        self.specs[index],
-                        "GET",
-                        "/healthz",
-                        connect_timeout=1.0,
-                        timeout=2.0,
+                    spec = self.specs[index]
+                    status, _body = await httpio.round_trip(
+                        spec.host, spec.port, "GET", "/healthz",
+                        connect_timeout=1.0, timeout=2.0,
                     )
-                except _ShardError:
+                except httpio.RoundTripError:
                     continue
                 if status == 200:
                     pending.discard(index)

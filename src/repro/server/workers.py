@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.server.admission import DeadlineExceededError
+from repro.server.admission import within
 from repro.service.cache import CacheStats, CompileCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.policy import RetryPolicy
@@ -104,8 +104,6 @@ class SolverWorkerPool:
         batch_window_ms: float = 0.0,
         batch_max: int = 8,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.spec = spec
         self.workers = workers
         self.cache = cache if cache is not None else CompileCache(maxsize=256)
@@ -201,22 +199,11 @@ class SolverWorkerPool:
         )
         future = asyncio.get_running_loop().run_in_executor(self._executor, run)
         try:
-            return await self._within(future, remaining)
+            return await within(future, remaining, "solving", self.metrics)
         finally:
             # Stops an abandoned (timed-out or cancelled) thread's retry
             # loop before its next attempt; a no-op once the solve is done.
             cancelled.set()
-
-    async def _within(self, awaitable: Any, remaining: Optional[float]) -> Any:
-        """Await *awaitable* within the request's remaining deadline."""
-        try:
-            if remaining is None:
-                return await awaitable
-            return await asyncio.wait_for(awaitable, timeout=max(remaining, 1e-3))
-        except asyncio.TimeoutError:
-            self.metrics.counter("server.timeout").inc()
-            self.metrics.counter("server.timeout.solving").inc()
-            raise DeadlineExceededError("solving", remaining or 0.0) from None
 
     # ------------------------------------------------------------------ #
     # micro-batching
@@ -236,7 +223,9 @@ class SolverWorkerPool:
         self._batch_queue.put_nowait(item)
         # shield(): a deadline must not cancel the shared future — the
         # dispatcher still resolves it for the batch's other members.
-        return await self._within(asyncio.shield(item.future), remaining)
+        return await within(
+            asyncio.shield(item.future), remaining, "solving", self.metrics
+        )
 
     def _ensure_collector(self) -> None:
         if self._collector is None or self._collector.done():

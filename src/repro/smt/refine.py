@@ -18,9 +18,9 @@ refine from counterexamples — realized over this repo's string fragment:
    the full variable index space and decoded/verified through the
    ordinary :func:`repro.core.solver.result_from_sampleset` path.
 4. **Refine.** A decoded value that concretely violates its own base
-   constraints becomes a **blocking lemma** ``(not (= x "bad"))`` pushed
-   as a new :class:`~repro.smt.session.SolverSession` frame; the lemma
-   frame recompiles through the session's shared
+   constraints becomes a **blocking lemma** ``(not (= x "bad"))``
+   appended to the asserted conjunction; the extended conjunction
+   recompiles through the solver's shared
    :class:`~repro.service.cache.CompileCache` (the PR 8 delta machinery),
    adding a not-equals penalty that steers the next round's anneal away
    from the counterexample.
@@ -60,7 +60,6 @@ from repro.core.solver import SolveResult, result_from_sampleset
 from repro.qubo.algebra import expand_states, fix_variables
 from repro.service.cache import CompileCache
 from repro.service.policy import RetryExhaustedError
-from repro.service.spec import SolveSpec
 from repro.smt import ast
 from repro.smt.classical import _propagate
 from repro.smt.compiler import (
@@ -68,7 +67,6 @@ from repro.smt.compiler import (
     CompiledProblem,
     compile_assertions,
 )
-from repro.smt.session import SessionError, SolverSession
 from repro.smt.status import SolveStatus
 from repro.smt.theory import TheoryError, eval_formula
 from repro.utils.asciitab import CHAR_BITS
@@ -101,7 +99,7 @@ class RefineStats:
     rounds: int = 0
     #: Implied bits clamped, summed over every anneal.
     pruned_bits: int = 0
-    #: Blocking lemmas pushed onto the session frame stack.
+    #: Blocking lemmas appended to the asserted conjunction.
     lemmas: int = 0
     #: Unrefined-solve fallbacks taken (0 or 1 per solve).
     fallbacks: int = 0
@@ -281,8 +279,8 @@ class RefinementEngine:
             return solver._solve_direct(problem, **solve_params)
 
         warm_states = solve_params.pop("warm_states", None)
-        base_assertions = list(solver.assertions)
-        session = self._lemma_session(base_assertions)
+        # The base conjunction followed by every lemma learned so far.
+        assertions = list(solver.assertions)
         blocked: Dict[str, Set[str]] = {v: set() for v in problem.formulations}
         clamp_log: Dict[str, Dict[int, int]] = {}
         current = problem
@@ -306,12 +304,10 @@ class RefinementEngine:
             lemmas = self._lemmas_from(result, problem, blocked)
             if not lemmas:
                 break  # no provable counterexample left to block
+            assertions.extend(lemmas)
             try:
-                session.push()
-                for lemma in lemmas:
-                    session.assert_term(lemma)
-                current = self._compile(session.flattened())
-            except (SessionError, CompilationError):
+                current = self._compile(list(assertions))
+            except CompilationError:
                 self._count("refine.lemma_push_failures")
                 break
             self.stats.lemmas += len(lemmas)
@@ -502,20 +498,6 @@ class RefinementEngine:
     # ------------------------------------------------------------------ #
     # lemma learning
     # ------------------------------------------------------------------ #
-
-    def _lemma_session(self, base_assertions: Sequence[ast.Term]) -> SolverSession:
-        """The frame stack carrying learned lemmas (PR 8 machinery)."""
-        seed = getattr(self.solver, "_seed", None)
-        session = SolverSession(
-            SolveSpec(
-                seed=seed if isinstance(seed, int) else None,
-                penalty_strength=self.solver.penalty_strength,
-            ),
-            cache=self.cache if self.cache is not None else CompileCache(maxsize=64),
-        )
-        for assertion in base_assertions:
-            session.assert_term(assertion)
-        return session
 
     def _lemmas_from(
         self,

@@ -68,7 +68,6 @@ __all__ = [
     "SessionStats",
     "SolverSession",
     "iter_check_states",
-    "run_session_script",
 ]
 
 
@@ -493,11 +492,3 @@ def iter_check_states(
         elif command == "exit":
             return
 
-
-def run_session_script(
-    text: str, session: Optional[SolverSession] = None, **session_kwargs: Any
-) -> List[SmtResult]:
-    """Run a multi-query SMT-LIB script through a (possibly fresh) session."""
-    if session is None:
-        session = SolverSession(**session_kwargs)
-    return session.run_script_text(text)

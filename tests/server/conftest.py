@@ -10,10 +10,15 @@ spawn start method pickles every Process argument, so the lambda-wired
 process boundary. :class:`SlowSamplerFactory` and
 :class:`CrashingSamplerFactory` are their module-level, picklable
 counterparts.
+
+:func:`answer_once` is a one-shot stub listener that answers with raw
+response bytes, for the client-side transport tests (truncated bodies,
+malformed status lines).
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import time
 
@@ -21,6 +26,7 @@ import pytest
 
 from repro.anneal.simulated import SimulatedAnnealingSampler
 from repro.server.app import BackgroundServer, ServerConfig
+from repro.server.httpio import read_request
 
 #: Deterministic, fast solver settings shared by every server test.
 FAST_SOLVER = dict(num_reads=24, sampler_params={"num_sweeps": 200}, seed=7)
@@ -87,3 +93,21 @@ def server():
     """A running background server with the fast deterministic config."""
     with BackgroundServer(fast_config()) as handle:
         yield handle
+
+
+async def answer_once(response: bytes, port_user):
+    """Serve *response* (raw bytes, then close) to one request on a stub
+    listener, and return what ``port_user(port)`` returns."""
+
+    async def handle(reader, writer):
+        await read_request(reader, 1 << 20)
+        writer.write(response)
+        await writer.drain()
+        writer.close()
+
+    stub = await asyncio.start_server(handle, "127.0.0.1", 0)
+    try:
+        return await port_user(stub.sockets[0].getsockname()[1])
+    finally:
+        stub.close()
+        await stub.wait_closed()

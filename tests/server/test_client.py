@@ -13,7 +13,12 @@ from repro.server.client import (
     SolverClient,
 )
 
-from tests.server.conftest import PARSE_ERROR_SCRIPT, SAT_SCRIPT, UNSAT_SCRIPT
+from tests.server.conftest import (
+    PARSE_ERROR_SCRIPT,
+    SAT_SCRIPT,
+    UNSAT_SCRIPT,
+    answer_once,
+)
 
 pytestmark = pytest.mark.server
 
@@ -80,3 +85,19 @@ class TestAsyncClient:
         client = AsyncSolverClient("127.0.0.1", 1, timeout=2.0)
         with pytest.raises(ServerConnectionError):
             asyncio.run(client.solve(SAT_SCRIPT))
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            # cut off mid-body: 9 of the 100 declared bytes, then close
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"ok\":tru",
+            b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n",
+        ],
+        ids=["truncated-body", "non-numeric-status"],
+    )
+    def test_broken_response_is_typed(self, response):
+        def solve(port):
+            return AsyncSolverClient("127.0.0.1", port, timeout=5.0).solve(SAT_SCRIPT)
+
+        with pytest.raises(ServerConnectionError):
+            asyncio.run(answer_once(response, solve))

@@ -7,6 +7,8 @@ import asyncio
 import pytest
 
 from repro.server.httpio import (
+    ConnectFailed,
+    ExchangeFailed,
     HttpRequest,
     ProtocolError,
     RequestTooLarge,
@@ -14,7 +16,10 @@ from repro.server.httpio import (
     read_response,
     render_request,
     render_response,
+    round_trip,
 )
+
+from tests.server.conftest import answer_once
 
 pytestmark = pytest.mark.server
 
@@ -124,3 +129,41 @@ class TestResponses:
 
         with pytest.raises(ProtocolError):
             asyncio.run(run())
+
+    def test_non_numeric_status_is_protocol_error(self):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n")
+            reader.feed_eof()
+            return await read_response(reader)
+
+        with pytest.raises(ProtocolError, match="malformed status line"):
+            asyncio.run(run())
+
+
+def _post(port: int):
+    return round_trip(
+        "127.0.0.1", port, "POST", "/solve", b"(check-sat)",
+        connect_timeout=2.0, timeout=5.0,
+    )
+
+
+class TestRoundTrip:
+    def test_answer_passes_through(self):
+        response = render_response(200, b'{"ok":true}')
+        status, body = asyncio.run(answer_once(response, _post))
+        assert (status, body) == (200, b'{"ok":true}')
+
+    def test_nothing_listening_is_connect_failed(self):
+        with pytest.raises(ConnectFailed):
+            asyncio.run(_post(1))  # nothing listens on port 1
+
+    def test_truncated_body_is_exchange_failed(self):
+        response = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"ok\":true"
+        with pytest.raises(ExchangeFailed, match="IncompleteReadError"):
+            asyncio.run(answer_once(response, _post))
+
+    def test_bad_status_line_is_exchange_failed(self):
+        response = b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n"
+        with pytest.raises(ExchangeFailed, match="ProtocolError"):
+            asyncio.run(answer_once(response, _post))

@@ -15,6 +15,7 @@ would silently run against a fresh empty session).
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -176,6 +177,27 @@ class TestDeadlines:
                 counters = client.metrics()["counters"]
                 assert counters["server.timeout"] == 1
                 assert counters["server.timeout.solving"] == 1
+
+
+class TestTiming:
+    def test_lock_wait_is_queue_time_not_solve_time(self, server):
+        with SolverClient(server.host, server.port, timeout=30.0) as client:
+            sid = open_session(client)
+            assert client.session_assert(sid, LEN2).ok
+
+            async def hold_lock():
+                # A mutation holding the lock for 0.5 s.
+                managed = server.server.sessions.get(sid)
+                await managed.lock.acquire()
+                asyncio.get_running_loop().call_later(0.5, managed.lock.release)
+
+            asyncio.run_coroutine_threadsafe(hold_lock(), server._loop).result(5.0)
+            started = time.monotonic()
+            reply = client.session_check(sid)
+            roundtrip_ms = (time.monotonic() - started) * 1000.0
+        assert reply.status == "sat"
+        assert reply.envelope.queue_ms >= 400.0
+        assert reply.envelope.queue_ms + reply.envelope.solve_ms <= roundtrip_ms + 5.0
 
 
 class TestDrain:

@@ -7,8 +7,8 @@ Three failure families, each pinned to its contracted surface:
   be caught by the model cross-check and surfaced as the typed
   :class:`~repro.smt.refine.UnsoundPropagationError` — never a silent
   ``unsat``/wrong ``sat``;
-* **lemma-push failures** (the session frame stack refusing a push) must
-  degrade to the unrefined fallback, accounted under
+* **lemma-push failures** (the extended conjunction failing to
+  recompile) must degrade to the unrefined fallback, accounted under
   ``refine.lemma_push_failures`` + ``refine.fallbacks``;
 * **round-budget exhaustion** with live lemmas must likewise fall back
   and still answer correctly.
@@ -21,7 +21,7 @@ import pytest
 import repro.smt.refine as refine_mod
 from repro.service.metrics import MetricsRegistry
 from repro.smt.refine import RefinementEngine, UnsoundPropagationError
-from repro.smt.session import SessionError, SolverSession
+from repro.smt.compiler import CompilationError
 from repro.smt.solver import QuantumSMTSolver, SmtResult
 from repro.smt.status import SolveStatus
 
@@ -89,7 +89,7 @@ class TestUnsoundPropagation:
 class TestLemmaPushFailure:
     def test_push_failure_falls_back_with_accounting(self, monkeypatch):
         # A round that yields a provably-bad witness triggers a lemma
-        # push; the session refusing it must break to the fallback.
+        # push; the recompile refusing it must break to the fallback.
         def failed_round(self, current, base, warm, clamp_log, params):
             return SmtResult(
                 status=SolveStatus.UNKNOWN,
@@ -97,11 +97,11 @@ class TestLemmaPushFailure:
                 reason="injected failed round",
             )
 
-        def refuse_push(self):
-            raise SessionError("injected push failure")
+        def refuse_push(self, assertions):
+            raise CompilationError("injected push failure")
 
         monkeypatch.setattr(RefinementEngine, "_solve_round", failed_round)
-        monkeypatch.setattr(SolverSession, "push", refuse_push)
+        monkeypatch.setattr(RefinementEngine, "_compile", refuse_push)
         metrics = MetricsRegistry()
         result = _solver(metrics=metrics).check_sat()
         assert result.status is SolveStatus.SAT

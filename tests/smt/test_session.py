@@ -19,7 +19,6 @@ from repro.smt.session import (
     SessionError,
     SolverSession,
     iter_check_states,
-    run_session_script,
 )
 from repro.smt.solver import QuantumSMTSolver
 from repro.smt.status import SolveStatus
@@ -251,11 +250,6 @@ class TestScriptExecution:
         # Query 3 re-checks the query-1 state: answered from the memo.
         assert session.stats.memo_hits == 1
         assert results[2] == results[0]
-
-    def test_run_session_script_builds_a_fresh_session(self):
-        results = run_session_script(PUSH_POP_SCRIPT, spec=SolveSpec(**FAST))
-        assert len(results) == 3
-        assert results[0].status is SolveStatus.SAT
 
     def test_exit_stops_execution(self):
         session = make_session()
