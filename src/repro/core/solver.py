@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
+
+import numpy as np
 
 from repro.anneal.base import Sampler
 from repro.anneal.sampleset import SampleSet
 from repro.anneal.simulated import SimulatedAnnealingSampler
 from repro.core.formulation import StringFormulation
+from repro.qubo.algebra import expand_states, fix_variables
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.timing import Timer
 
@@ -96,22 +99,68 @@ class StringQuboSolver:
         return self.metrics.time(name)
 
     def solve(
-        self, formulation: StringFormulation, **overrides: Any
+        self,
+        formulation: StringFormulation,
+        *,
+        clamps: Optional[Mapping[int, int]] = None,
+        **overrides: Any,
     ) -> SolveResult:
-        """Build, sample, decode and verify one constraint."""
+        """Build, sample, decode and verify one constraint.
+
+        *clamps* (``{bit index: value}``, the refinement loop's implied
+        bits) pins bits before sampling:
+        :func:`~repro.qubo.algebra.fix_variables` folds them into a
+        reduced QUBO, an ``initial_states`` warm vector is mapped onto the
+        surviving bits (zero-padded when short), and the reduced samples
+        are expanded back to full width before decoding.
+        ``info["refine"]`` then records the clamped, reduced and full
+        widths. Without *clamps* the full QUBO is sampled as built.
+
+        A per-solve seed is drawn from the driver's stream only when
+        neither *overrides* nor ``sampler_params`` supply one.
+        """
         params = {**self.sampler_params, **overrides}
         params.setdefault("num_reads", self.num_reads)
-        params.setdefault("seed", int(self._rng.integers(0, 2**63 - 1)))
+        if "seed" not in params:
+            params["seed"] = int(self._rng.integers(0, 2**63 - 1))
 
         with Timer() as timer:
             with self._stage("build"):
                 model = formulation.build_model()
+                full_width = model.num_variables
+                if clamps is not None:
+                    clamps = {i: b for i, b in clamps.items() if i < full_width}
+                    if clamps:
+                        model = fix_variables(model, clamps)[0]
+            warm = params.get("initial_states")
+            if clamps is not None and warm is not None:
+                # Lemma frames can widen the model with fresh aux bits: a
+                # short warm state is zero-padded (the annealer re-derives
+                # those bits), then only the surviving bits are kept.
+                padded = np.zeros(full_width, dtype=np.int8)
+                warm = np.asarray(warm, dtype=np.int8).ravel()[:full_width]
+                padded[: len(warm)] = warm
+                params["initial_states"] = np.delete(padded, list(clamps))
             with self._stage("anneal"):
                 sampleset = self.sampler.sample_model(model, **params)
         wall = timer.elapsed
 
         with self._stage("decode"):
-            return result_from_sampleset(formulation, sampleset, wall_time=wall)
+            if clamps:
+                sampleset = SampleSet(
+                    expand_states(sampleset.states, clamps, full_width),
+                    sampleset.energies,
+                    num_occurrences=sampleset.num_occurrences,
+                    info=sampleset.info,
+                )
+            result = result_from_sampleset(formulation, sampleset, wall_time=wall)
+        if clamps is not None:
+            result.info["refine"] = {
+                "clamped_bits": len(clamps),
+                "reduced_variables": model.num_variables,
+                "full_variables": full_width,
+            }
+        return result
 
 
 def result_from_sampleset(

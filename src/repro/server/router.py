@@ -50,7 +50,7 @@ import sys
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.server import httpio
 from repro.server.base import (
@@ -67,9 +67,9 @@ from repro.server.protocol import (
     ERROR_BAD_REQUEST,
     ERROR_DRAINING,
     ERROR_UPSTREAM,
+    SessionRequest,
     SolveRequest,
     json_object,
-    string_field,
 )
 from repro.service.cache import compile_cache_key
 from repro.service.metrics import MetricsRegistry
@@ -366,13 +366,13 @@ class ShardRouter(HttpService):
         self.metrics.counter(f"router.shard.{index}.forwarded").inc()
         return payload, status
 
-    def _proxy_timeout(self, deadline_ms: Any) -> float:
+    def _proxy_timeout(self, deadline_ms: Optional[float]) -> float:
         """Bound on one proxied request: the shard enforces the deadline,
         the proxy read just needs headroom beyond it so a wedged shard
         cannot hang the client."""
         timeout = self.config.upstream_timeout
-        if isinstance(deadline_ms, (int, float)) and deadline_ms > 0:
-            timeout = min(timeout, float(deadline_ms) / 1000.0 + 15.0)
+        if deadline_ms is not None:
+            timeout = min(timeout, deadline_ms / 1000.0 + 15.0)
         return timeout
 
     def _reject(self, error_type: str, message: str) -> Reply:
@@ -450,18 +450,23 @@ class ShardRouter(HttpService):
                 ERROR_DRAINING, "router is draining; not accepting new requests"
             )
 
-        text = request.body.decode("utf-8", errors="replace")
         try:
-            payload = json_object(text) if text.strip() else {}
-            session_id = string_field(payload, "session", "session")
-            if not session_id and op != "open":
+            session_request = SessionRequest.from_body(
+                request.body, request.content_type
+            )
+            if not session_request.session_id and op != "open":
                 raise ValueError(f"/session/{op} needs a 'session' id")
         except ValueError as exc:
             return self._reject(ERROR_BAD_REQUEST, str(exc))
+        session_id = session_request.session_id
+        body = request.body
         if not session_id:
             # Inject the id here so the sticky placement decision and the
             # id the client learns are the same thing.
+            text = body.decode("utf-8", errors="replace")
+            payload = json_object(text) if text.strip() else {}
             session_id = payload["session"] = uuid.uuid4().hex
+            body = json.dumps(payload).encode("utf-8")
 
         index = shard_index(session_shard_key(session_id), len(self.shards))
         state = self.shards[index]
@@ -469,9 +474,9 @@ class ShardRouter(HttpService):
             return await self._proxy(
                 index,
                 f"/session/{op}",
-                json.dumps(payload).encode("utf-8"),
+                body,
                 "application/json",
-                self._proxy_timeout(payload.get("deadline_ms")),
+                self._proxy_timeout(session_request.deadline_ms),
             )
         except httpio.RoundTripError as exc:
             state.mark_down(str(exc))
@@ -714,55 +719,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated host:port list of externally managed shards "
         "(mutually exclusive with --shards)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="solve backend for spawned shards",
-    )
-    parser.add_argument("--workers", type=int, default=2, help="workers per shard")
-    parser.add_argument("--queue-limit", type=int, default=16)
-    parser.add_argument("--deadline-ms", type=float, default=30000.0)
-    parser.add_argument("--num-reads", type=int, default=64)
-    parser.add_argument("--num-sweeps", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--failover", type=int, default=3, help="max shards tried")
     parser.add_argument("--health-interval", type=float, default=0.5)
-    parser.add_argument("--drain-timeout", type=float, default=10.0)
+    parser.add_argument(
+        "--drain-timeout",
+        type=float,
+        default=10.0,
+        help="router drain budget, also handed to spawned shards",
+    )
     parser.add_argument("--idle-timeout", type=float, default=60.0)
     return parser
 
 
-def _shard_cli_args(args: argparse.Namespace) -> List[str]:
-    shard_args = [
-        "--backend",
-        args.backend,
-        "--workers",
-        str(args.workers),
-        "--queue-limit",
-        str(args.queue_limit),
-        "--deadline-ms",
-        str(args.deadline_ms),
-        "--num-reads",
-        str(args.num_reads),
-        "--drain-timeout",
-        str(args.drain_timeout),
-    ]
-    if args.num_sweeps is not None:
-        shard_args += ["--num-sweeps", str(args.num_sweeps)]
-    if args.seed is not None:
-        shard_args += ["--seed", str(args.seed)]
-    return shard_args
+def parse_cli(
+    argv: Optional[List[str]] = None,
+) -> Tuple[argparse.Namespace, List[str]]:
+    """Split the command line into router flags and shard flags.
+
+    Every argument the router does not own is a ``python -m repro.server``
+    flag, handed verbatim to each spawned shard (plus ``--drain-timeout``).
+    They are checked with the server's own parser and config first, so a
+    bad one exits 2 (argparse) or raises ``ValueError`` before anything is
+    spawned. Returns ``(router_args, shard_args)``.
+    """
+    from repro.server.__main__ import build_parser as server_parser
+    from repro.server.__main__ import config_from_args
+
+    args, shard_args = build_parser().parse_known_args(argv)
+    shard_args += ["--drain-timeout", str(args.drain_timeout)]
+    config_from_args(server_parser().parse_args(shard_args))
+    return args, shard_args
 
 
-async def _run(args: argparse.Namespace) -> None:
+async def _run(args: argparse.Namespace, shard_args: List[str]) -> None:
     fleet: Optional[ShardFleet] = None
     if args.shards and args.attach:
         raise ValueError("--shards and --attach are mutually exclusive")
     if args.shards:
-        fleet = ShardFleet(
-            args.shards, host=args.host, shard_args=_shard_cli_args(args)
-        )
+        fleet = ShardFleet(args.shards, host=args.host, shard_args=shard_args)
         specs = fleet.start()
         print(
             f"[repro.router] spawned {len(specs)} shard(s): "
@@ -771,6 +765,11 @@ async def _run(args: argparse.Namespace) -> None:
         )
         await fleet.wait_ready()
     elif args.attach:
+        if shard_args[:-2]:
+            raise ValueError(
+                f"server flags {shard_args[:-2]} apply only to spawned shards "
+                "(--shards N), not to --attach"
+            )
         specs = [ShardSpec.parse(part) for part in args.attach.split(",") if part]
     else:
         raise ValueError("need --shards N or --attach host:port[,host:port...]")
@@ -802,9 +801,9 @@ async def _run(args: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        asyncio.run(_run(args))
+        args, shard_args = parse_cli(argv)
+        asyncio.run(_run(args, shard_args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

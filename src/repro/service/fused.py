@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.anneal.simulated import SimulatedAnnealingSampler
-from repro.core.solver import SolveResult, result_from_sampleset
+from repro.core.solver import result_from_sampleset
 from repro.qubo.tile import tile_models
 from repro.service.cache import CompileCache
 from repro.service.metrics import MetricsRegistry
@@ -50,8 +50,8 @@ from repro.service.policy import RetryPolicy
 from repro.service.spec import SolveOutcome, SolveSpec, compile_cached, execute
 from repro.smt import ast
 from repro.smt.compiler import CompilationError
-from repro.smt.solver import SmtResult
-from repro.smt.theory import eval_formula
+from repro.smt.solver import decide
+from repro.smt.status import SolveStatus
 
 __all__ = ["FusedItemOutcome", "solve_batch_fused"]
 
@@ -195,28 +195,25 @@ def solve_batch_fused(
 def _settle_item(
     item: _PendingItem, metrics: MetricsRegistry
 ) -> Optional[SolveOutcome]:
-    """Decode one item's fused blocks; ``None`` on any verification miss."""
+    """Decode one item's fused blocks; ``None`` on any verification miss.
+
+    The per-variable loop and final model check are the direct path's own
+    (:func:`repro.smt.solver.decide`); each variable's answer is a decode
+    of its fused sample set, with no retry.
+    """
     if item.samplesets is None:
         return None
-    model: Dict[str, str] = {}
-    solve_results: Dict[str, SolveResult] = {}
     with metrics.time("decode"):
-        for variable, formulation in item.problem.formulations.items():
-            result = result_from_sampleset(formulation, item.samplesets[variable])
-            if not result.ok:
-                return None
-            solve_results[variable] = result
-            model[variable] = result.output
-    # Final end-to-end model check under the concrete semantics — the
-    # same gate solve_compiled applies before answering sat.
-    for assertion in item.assertions:
-        if ast.free_string_variables(assertion) and not eval_formula(
-            assertion, model
-        ):
-            return None
+        result = decide(
+            item.problem,
+            item.assertions,
+            lambda variable, formulation: result_from_sampleset(
+                formulation, item.samplesets[variable]
+            ),
+            attempts=1,
+        )
+    if result.status is not SolveStatus.SAT:
+        return None
     metrics.counter("smt.check_sat").inc()
     metrics.counter("smt.sat").inc()
-    return SolveOutcome(
-        result=SmtResult(status="sat", model=model, solve_results=solve_results),
-        path="fused",
-    )
+    return SolveOutcome(result=result, path="fused")

@@ -16,7 +16,12 @@ refine from counterexamples — realized over this repo's string fragment:
    QUBO whose energies are the original energies (DESIGN.md Appendix I).
 3. **Sample + verify.** The reduced sample states are expanded back onto
    the full variable index space and decoded/verified through the
-   ordinary :func:`repro.core.solver.result_from_sampleset` path.
+   ordinary :func:`repro.core.solver.result_from_sampleset` path. Steps
+   2–3 are one :meth:`repro.core.solver.StringQuboSolver.solve` call with
+   ``clamps``, and a round is the direct pipeline's own per-variable
+   loop (:func:`repro.smt.solver.decide`) and retry wrapper
+   (:func:`repro.smt.solver.solve_with_retries`), with its final model
+   check.
 4. **Refine.** A decoded value that concretely violates its own base
    constraints becomes a **blocking lemma** ``(not (= x "bad"))``
    appended to the asserted conjunction; the extended conjunction
@@ -48,18 +53,15 @@ letting a wrong abstraction pass silently.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.anneal.sampleset import SampleSet
 from repro.core.encoding import char_to_bits, encode_string, variable_index
-from repro.core.solver import SolveResult, result_from_sampleset
-from repro.qubo.algebra import expand_states, fix_variables
+from repro.core.solver import SolveResult
 from repro.service.cache import CompileCache
-from repro.service.policy import RetryExhaustedError
+from repro.service.spec import SolveSpec, compile_cached
 from repro.smt import ast
 from repro.smt.classical import _propagate
 from repro.smt.compiler import (
@@ -67,10 +69,10 @@ from repro.smt.compiler import (
     CompiledProblem,
     compile_assertions,
 )
+from repro.smt.solver import decide, solve_with_retries
 from repro.smt.status import SolveStatus
 from repro.smt.theory import TheoryError, eval_formula
 from repro.utils.asciitab import CHAR_BITS
-from repro.utils.timing import Timer
 
 __all__ = [
     "RefineStats",
@@ -253,9 +255,10 @@ class RefinementEngine:
         self.metrics = solver.metrics
         self.stats = RefineStats()
         seed = getattr(solver, "_seed", None)
+        reproducible = seed is None or isinstance(seed, (int, np.integer))
         if seed is None:
             self._rng = np.random.default_rng()
-        elif isinstance(seed, (int, np.integer)):
+        elif reproducible:
             # Deterministic but decoupled from the driver's stream.
             self._rng = np.random.default_rng(
                 np.random.SeedSequence([0x5EF19E, int(seed) & (2**63 - 1)])
@@ -264,6 +267,16 @@ class RefinementEngine:
             from repro.utils.rng import spawn_rngs
 
             (self._rng,) = spawn_rngs(seed, 1)
+        # Lemma frames compile through the shared cache, keyed by this
+        # spec; a live RNG seed has no cache key and compiles directly.
+        self._lemma_spec = (
+            SolveSpec(
+                penalty_strength=solver.penalty_strength,
+                seed=None if seed is None else int(seed),
+            )
+            if cache is not None and reproducible
+            else None
+        )
 
     # ------------------------------------------------------------------ #
     # public entry point
@@ -286,15 +299,35 @@ class RefinementEngine:
         current = problem
         # Clamp-aware warm starts: caller-supplied states seed round 0,
         # and every later round reuses the previous round's best
-        # *full-width* state per variable — `_sample_reduced` projects it
-        # onto whatever index space survives that round's clamps.
+        # *full-width* state per variable — the driver projects it onto
+        # whatever index space survives that round's clamps.
         round_warm: Dict[str, np.ndarray] = dict(warm_states or {})
+
+        def solve_variable(variable: str, formulation: Any) -> SolveResult:
+            """Prune, reduce, sample and verify one variable of a round."""
+            clamps = self._clamps_for(variable, current, formulation)
+            if clamps:
+                clamp_log.setdefault(variable, {}).update(clamps)
+            params = dict(solve_params)
+            warm = round_warm.get(variable)
+            if warm is not None:
+                params["initial_states"] = warm
+            return solve_with_retries(
+                solver.retry_policy,
+                lambda _index: self._anneal(formulation, clamps, params),
+                description=f"refine-solve {formulation.describe()}",
+                metrics=self.metrics,
+                exhausted="refine.retries_exhausted",
+            )
 
         for _round in range(self.max_rounds):
             self.stats.rounds += 1
             self._count("refine.rounds")
-            result = self._solve_round(
-                current, problem, round_warm or None, clamp_log, dict(solve_params)
+            result = decide(
+                current,
+                solver.assertions,
+                solve_variable,
+                attempts=solver.max_attempts,
             )
             self._harvest_warm(result, round_warm)
             if result.status is SolveStatus.SAT:
@@ -306,7 +339,19 @@ class RefinementEngine:
                 break  # no provable counterexample left to block
             assertions.extend(lemmas)
             try:
-                current = self._compile(list(assertions))
+                if self._lemma_spec is None:
+                    current = compile_assertions(
+                        list(assertions),
+                        penalty_strength=solver.penalty_strength,
+                        seed=solver._seed,
+                    )
+                else:
+                    current, hit = compile_cached(
+                        self._lemma_spec, assertions, self.cache, None
+                    )
+                    self._count(
+                        "refine.compile_hits" if hit else "refine.compile_misses"
+                    )
             except CompilationError:
                 self._count("refine.lemma_push_failures")
                 break
@@ -325,54 +370,8 @@ class RefinementEngine:
         return fallback
 
     # ------------------------------------------------------------------ #
-    # one round
+    # one round: clamps, warm states and the reduced attempt
     # ------------------------------------------------------------------ #
-
-    def _solve_round(
-        self,
-        current: CompiledProblem,
-        base: CompiledProblem,
-        warm_states: Optional[Dict[str, np.ndarray]],
-        clamp_log: Dict[str, Dict[int, int]],
-        solve_params: Dict[str, Any],
-    ):
-        """Prune, reduce, sample and verify one abstraction round."""
-        from repro.smt.solver import SmtResult
-
-        solver = self.solver
-        model: Dict[str, str] = {}
-        solve_results: Dict[str, SolveResult] = {}
-        for variable, formulation in current.formulations.items():
-            clamps = self._clamps_for(variable, current, formulation)
-            if clamps:
-                clamp_log.setdefault(variable, {}).update(clamps)
-            warm = warm_states.get(variable) if warm_states else None
-            result = self._solve_reduced_with_retries(
-                formulation, clamps, warm, **solve_params
-            )
-            solve_results[variable] = result
-            if not result.ok:
-                return SmtResult(
-                    status=SolveStatus.UNKNOWN,
-                    solve_results=solve_results,
-                    reason=(
-                        f"refine round: no verified witness for {variable!r}"
-                    ),
-                )
-            model[variable] = result.output
-        for assertion in solver.assertions:
-            if ast.free_string_variables(assertion) and not eval_formula(
-                assertion, model
-            ):
-                return SmtResult(
-                    status=SolveStatus.UNKNOWN,
-                    model=model,
-                    solve_results=solve_results,
-                    reason=f"refine round: model fails assertion {assertion!r}",
-                )
-        return SmtResult(
-            status=SolveStatus.SAT, model=model, solve_results=solve_results
-        )
 
     def _harvest_warm(self, result: Any, round_warm: Dict[str, np.ndarray]) -> None:
         """Keep each variable's best full-width state for the next round."""
@@ -398,101 +397,30 @@ class RefinementEngine:
         # carry no character semantics.
         return {i: b for i, b in clamps.items() if i < width}
 
-    # ------------------------------------------------------------------ #
-    # reduced sampling
-    # ------------------------------------------------------------------ #
-
-    def _solve_reduced_with_retries(
-        self,
-        formulation: Any,
-        clamps: Dict[int, int],
-        warm_state: Optional[np.ndarray],
-        **solve_params: Any,
+    def _anneal(
+        self, formulation: Any, clamps: Dict[int, int], params: Dict[str, Any]
     ) -> SolveResult:
-        """The direct path's retry discipline, over the reduced model."""
-        solver = self.solver
+        """One reduced attempt through the driver, on the engine's stream.
 
-        def attempt(_index: int) -> SolveResult:
-            return self._sample_reduced(
-                formulation, clamps, warm_state, **solve_params
-            )
-
-        try:
-            outcome = solver.retry_policy.run(
-                attempt,
-                succeeded=lambda r: r.ok,
-                description=f"refine-solve {formulation.describe()}",
-            )
-        except RetryExhaustedError as exc:
-            self._count("refine.retries_exhausted")
-            if exc.last_result is not None:
-                return exc.last_result
-            raise
-        return outcome.result
-
-    def _sample_reduced(
-        self,
-        formulation: Any,
-        clamps: Dict[int, int],
-        warm_state: Optional[np.ndarray],
-        **solve_params: Any,
-    ) -> SolveResult:
-        """Clamp, sample the reduced QUBO, expand, decode and verify."""
-        driver = self.solver._driver
-        params = {**driver.sampler_params, **solve_params}
-        params.setdefault("num_reads", driver.num_reads)
-        params.setdefault("seed", int(self._rng.integers(0, 2**63 - 1)))
-
-        with Timer() as timer:
-            with self._stage("build"):
-                model = formulation.build_model()
-                full_width = model.num_variables
-                clamps = {i: b for i, b in clamps.items() if i < full_width}
-                if clamps:
-                    reduced, _new_index = fix_variables(model, clamps)
-                else:
-                    reduced = model
-            if warm_state is not None:
-                warm = np.asarray(warm_state, dtype=np.int8).ravel()
-                if len(warm) < full_width:
-                    # Lemma frames can widen the model with fresh aux bits;
-                    # seed those at 0 and let the annealer re-derive them.
-                    warm = np.concatenate(
-                        [warm, np.zeros(full_width - len(warm), dtype=np.int8)]
-                    )
-                survivors = [v for v in range(full_width) if v not in clamps]
-                params["initial_states"] = warm[:full_width][survivors]
-            with self._stage("anneal"):
-                sampleset = driver.sampler.sample_model(reduced, **params)
-        wall = timer.elapsed
-
+        The explicit seed keeps the driver's own stream untouched for the
+        fallback; a caller-supplied ``seed`` still wins.
+        """
+        seed = int(self._rng.integers(0, 2**63 - 1))
+        result = self.solver._driver.solve(
+            formulation, clamps=clamps, **{"seed": seed, **params}
+        )
+        info = result.info["refine"]
+        reduced = info["reduced_variables"]
         self.stats.anneals += 1
-        self.stats.pruned_bits += len(clamps)
-        self.stats.qubo_variables.append(reduced.num_variables)
-        self.stats.full_variables.append(full_width)
-        if reduced.num_variables == 0:
+        self.stats.pruned_bits += info["clamped_bits"]
+        self.stats.qubo_variables.append(reduced)
+        self.stats.full_variables.append(info["full_variables"])
+        if reduced == 0:
             self.stats.determined += 1
             self._count("refine.determined")
-        self._count("refine.pruned_bits", len(clamps))
+        self._count("refine.pruned_bits", info["clamped_bits"])
         if self.metrics is not None:
-            self.metrics.observe("refine.qubo_variables", reduced.num_variables)
-
-        if clamps:
-            expanded = SampleSet(
-                expand_states(sampleset.states, clamps, full_width),
-                sampleset.energies,
-                num_occurrences=sampleset.num_occurrences,
-                info=sampleset.info,
-            )
-        else:
-            expanded = sampleset
-        with self._stage("decode"):
-            result = result_from_sampleset(formulation, expanded, wall_time=wall)
-        result.info["refine"] = {
-            "clamped_bits": len(clamps),
-            "reduced_variables": reduced.num_variables,
-            "full_variables": full_width,
-        }
+            self.metrics.observe("refine.qubo_variables", reduced)
         return result
 
     # ------------------------------------------------------------------ #
@@ -533,29 +461,6 @@ class RefinementEngine:
                 )
         return lemmas
 
-    def _compile(self, flattened: List[ast.Term]) -> CompiledProblem:
-        """Compile a lemma-frame state, delta-cached when possible."""
-        solver = self.solver
-        seed = getattr(solver, "_seed", None)
-        if self.cache is not None and (
-            seed is None or isinstance(seed, (int, np.integer))
-        ):
-            problem, hit = self.cache.get_or_compile(
-                flattened,
-                penalty_strength=solver.penalty_strength,
-                seed=None if seed is None else int(seed),
-                compile_fn=lambda: compile_assertions(
-                    flattened,
-                    penalty_strength=solver.penalty_strength,
-                    seed=None if seed is None else int(seed),
-                ),
-            )
-            self._count("refine.compile_hits" if hit else "refine.compile_misses")
-            return problem
-        return compile_assertions(
-            flattened, penalty_strength=solver.penalty_strength, seed=seed
-        )
-
     # ------------------------------------------------------------------ #
     # soundness guard
     # ------------------------------------------------------------------ #
@@ -589,8 +494,3 @@ class RefinementEngine:
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None and amount:
             self.metrics.counter(name).inc(amount)
-
-    def _stage(self, name: str):
-        if self.metrics is None:
-            return contextlib.nullcontext()
-        return self.metrics.time(name)

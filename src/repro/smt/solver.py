@@ -14,8 +14,9 @@ ground assertion yields ``unsat``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.anneal.base import Sampler
 from repro.core.solver import SolveResult, StringQuboSolver
@@ -28,7 +29,7 @@ from repro.smt.status import SolveStatus
 from repro.smt.theory import eval_formula
 from repro.utils.rng import SeedLike
 
-__all__ = ["QuantumSMTSolver", "SmtResult"]
+__all__ = ["QuantumSMTSolver", "SmtResult", "decide", "solve_with_retries"]
 
 # Canonical statuses; module-level names kept for backwards compatibility
 # (old code compared against the bare strings, which still works because
@@ -181,18 +182,12 @@ class QuantumSMTSolver:
 
     def compile(self) -> CompiledProblem:
         """Lower the asserted conjunction to QUBO formulations."""
-        if self.metrics is not None:
-            with self.metrics.time("compile"):
-                return compile_assertions(
-                    self.assertions,
-                    penalty_strength=self.penalty_strength,
-                    seed=self._seed,
-                )
-        return compile_assertions(
-            self.assertions,
-            penalty_strength=self.penalty_strength,
-            seed=self._seed,
-        )
+        with self.metrics.time("compile") if self.metrics is not None else nullcontext():
+            return compile_assertions(
+                self.assertions,
+                penalty_strength=self.penalty_strength,
+                seed=self._seed,
+            )
 
     def check_sat(self, **solve_params: Any) -> SmtResult:
         """Decide the asserted conjunction; see the soundness contract above."""
@@ -247,77 +242,29 @@ class QuantumSMTSolver:
             self._count(UNSAT)
             return self._last
 
-        model: Dict[str, str] = {}
-        solve_results: Dict[str, SolveResult] = {}
-        for variable, formulation in problem.formulations.items():
+        def solve_variable(variable: str, formulation: Any) -> SolveResult:
             params = dict(solve_params)
             if warm_states and variable in warm_states:
                 params["initial_states"] = warm_states[variable]
-            result = self._solve_with_retries(formulation, **params)
-            solve_results[variable] = result
-            if not result.ok:
-                self._last = SmtResult(
-                    status=UNKNOWN,
-                    solve_results=solve_results,
-                    reason=(
-                        f"annealer did not produce a verified witness for "
-                        f"{variable!r} in {self.max_attempts} attempts"
-                    ),
-                )
-                self._count(UNKNOWN)
-                return self._last
-            model[variable] = result.output
+            return solve_with_retries(
+                self.retry_policy,
+                lambda _index: self._driver.solve(formulation, **params),
+                description=f"solve {formulation.describe()}",
+                metrics=self.metrics,
+                exhausted="smt.retries_exhausted",
+                retried="smt.retried_solves",
+            )
 
-        # Final end-to-end model check under the concrete semantics.
-        for assertion in self.assertions:
-            if ast.free_string_variables(assertion) and not eval_formula(
-                assertion, model
-            ):
-                self._last = SmtResult(
-                    status=UNKNOWN,
-                    model=model,
-                    solve_results=solve_results,
-                    reason=f"model fails assertion {assertion!r}",
-                )
-                self._count(UNKNOWN)
-                return self._last
-        self._last = SmtResult(status=SAT, model=model, solve_results=solve_results)
-        self._count(SAT)
+        self._last = decide(
+            problem, self.assertions, solve_variable, attempts=self.max_attempts
+        )
+        self._count(self._last.status)
         return self._last
 
     def _count(self, status: str) -> None:
         if self.metrics is not None:
             self.metrics.counter("smt.check_sat").inc()
             self.metrics.counter(f"smt.{status}").inc()
-
-    def _solve_with_retries(self, formulation, **solve_params: Any) -> SolveResult:
-        """One robustness layer for the stochastic backend (shared policy).
-
-        Exhausted retries with a decoded-but-unverified last result are
-        mapped onto that result (the soundness contract turns it into
-        ``unknown``); exhausted retries where every attempt *raised* —
-        including per-attempt timeouts — re-raise the typed
-        :class:`~repro.service.policy.RetryExhaustedError`.
-        """
-
-        def attempt(_index: int) -> SolveResult:
-            return self._driver.solve(formulation, **solve_params)
-
-        try:
-            outcome = self.retry_policy.run(
-                attempt,
-                succeeded=lambda r: r.ok,
-                description=f"solve {formulation.describe()}",
-            )
-        except RetryExhaustedError as exc:
-            if self.metrics is not None:
-                self.metrics.counter("smt.retries_exhausted").inc()
-            if exc.last_result is not None:
-                return exc.last_result
-            raise
-        if self.metrics is not None and outcome.attempts > 1:
-            self.metrics.counter("smt.retried_solves").inc()
-        return outcome.result
 
     # ------------------------------------------------------------------ #
     # model access
@@ -400,6 +347,84 @@ class QuantumSMTSolver:
             elif command == "exit":
                 break
         return outputs
+
+
+def decide(
+    problem: CompiledProblem,
+    assertions: List[ast.Term],
+    solve_variable: Callable[[str, Any], SolveResult],
+    *,
+    attempts: int,
+) -> SmtResult:
+    """Decide a compiled problem one variable at a time; counts nothing.
+
+    ``solve_variable(variable, formulation)`` answers each formulation
+    (the direct pipeline, a refinement round, or the fused executor's
+    decode of an already-sampled block). The first unverified variable
+    makes the answer ``unknown``, with the results gathered so far, the
+    failing one included. A ``sat`` answer must then pass the final
+    model check: every assertion over free string variables is
+    re-evaluated under the concrete semantics. *attempts* only words the
+    ``unknown`` reason.
+    """
+    model: Dict[str, str] = {}
+    solve_results: Dict[str, SolveResult] = {}
+    for variable, formulation in problem.formulations.items():
+        result = solve_variable(variable, formulation)
+        solve_results[variable] = result
+        if not result.ok:
+            return SmtResult(
+                status=UNKNOWN,
+                solve_results=solve_results,
+                reason=(
+                    f"annealer did not produce a verified witness for "
+                    f"{variable!r} in {attempts} attempts"
+                ),
+            )
+        model[variable] = result.output
+    for assertion in assertions:
+        if ast.free_string_variables(assertion) and not eval_formula(
+            assertion, model
+        ):
+            return SmtResult(
+                status=UNKNOWN,
+                model=model,
+                solve_results=solve_results,
+                reason=f"model fails assertion {assertion!r}",
+            )
+    return SmtResult(status=SAT, model=model, solve_results=solve_results)
+
+
+def solve_with_retries(
+    policy: RetryPolicy,
+    attempt: Callable[[int], SolveResult],
+    *,
+    description: str,
+    metrics: Optional[MetricsRegistry],
+    exhausted: str,
+    retried: Optional[str] = None,
+) -> SolveResult:
+    """Run one variable's attempts under the shared retry policy.
+
+    Exhausted retries with a decoded-but-unverified last result are
+    mapped onto that result (the soundness contract turns it into
+    ``unknown``); exhausted retries where every attempt *raised* —
+    including per-attempt timeouts — re-raise the typed
+    :class:`~repro.service.policy.RetryExhaustedError`. With *metrics*,
+    exhaustion counts under *exhausted* and a success after a retry
+    under *retried* (when given).
+    """
+    try:
+        outcome = policy.run(attempt, succeeded=lambda r: r.ok, description=description)
+    except RetryExhaustedError as exc:
+        if metrics is not None:
+            metrics.counter(exhausted).inc()
+        if exc.last_result is not None:
+            return exc.last_result
+        raise
+    if metrics is not None and retried is not None and outcome.attempts > 1:
+        metrics.counter(retried).inc()
+    return outcome.result
 
 
 def eval_formula_or_term(term: ast.Term, model: Dict[str, str]):

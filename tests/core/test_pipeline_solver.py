@@ -1,6 +1,7 @@
 import pytest
 
 from repro.anneal.random_sampler import RandomSampler
+from repro.core.encoding import encode_string
 from repro.core.equality import StringEquality
 from repro.core.pipeline import ConstraintPipeline, PipelineResult, PipelineStage
 from repro.core.replace import StringReplaceAll
@@ -40,6 +41,31 @@ class TestStringQuboSolver:
         # Different spawned seeds: usually different samplesets; at minimum
         # the solver must not crash and must keep verifying.
         assert a.ok and b.ok
+
+    def test_seed_override_leaves_the_stream_untouched(self):
+        # A caller-supplied seed must not advance the driver's own stream:
+        # the next unseeded solve draws what a fresh driver would draw.
+        params = dict(num_reads=4, sampler_params={"num_sweeps": 20})
+        used = StringQuboSolver(seed=5, **params)
+        fresh = StringQuboSolver(seed=5, **params)
+        used.solve(StringEquality("ab"), seed=123)
+        assert used._rng.integers(0, 2**63 - 1) == fresh._rng.integers(0, 2**63 - 1)
+
+    def test_clamped_solve_reduces_and_expands(self, solver):
+        # Pin the first character of "ab" (7 bits): the annealer sees the
+        # 7 free bits only, the decoded answer is the full-width string.
+        clamps = {i: int(b) for i, b in enumerate(encode_string("a"))}
+        result = solver.solve(StringEquality("ab"), clamps=clamps)
+        assert result.output == "ab" and result.ok
+        assert result.sampleset.states.shape[1] == 14
+        assert result.info["refine"] == {
+            "clamped_bits": 7,
+            "reduced_variables": 7,
+            "full_variables": 14,
+        }
+
+    def test_no_clamps_records_no_refine_info(self, solver):
+        assert "refine" not in solver.solve(StringEquality("ab")).info
 
     def test_bad_num_reads(self):
         with pytest.raises(ValueError):

@@ -320,6 +320,38 @@ class TestRouterStickiness:
             for server in servers:
                 server.stop()
 
+    def test_bad_session_fields_are_rejected_at_the_router(self):
+        # Every /session/* body is validated at the router: a bad field is
+        # a router bad_request and never reaches (or is counted by) a shard.
+        server = BackgroundServer(fast_config()).start()
+        router = BackgroundRouter(
+            RouterConfig(port=0, shards=[ShardSpec("127.0.0.1", server.port)])
+        ).start()
+        bodies = [
+            {"session": "s1", "levels": -1},
+            {"session": "s1", "levels": True},
+            {"session": "s1", "deadline_ms": 0},
+            {"session": "s1", "id": 5},
+            {"session": "s1", "script": 7},
+        ]
+        try:
+            with SolverClient(router.host, router.port, timeout=30.0) as client:
+                for body in bodies:
+                    reply = client._session_request("push", body)
+                    assert reply.error_type == "bad_request", body
+                counters = client.metrics()["router"]["counters"]
+                # An id-less open gets its id injected at the router and
+                # that id routes follow-ups to the same session.
+                assert client.session_push(open_session(client)).ok
+            assert counters["router.rejected.bad_request"] == len(bodies)
+            assert "router.forwarded" not in counters
+            with SolverClient(server.host, server.port) as direct:
+                shard = direct.metrics()["counters"]
+            assert "server.rejected.bad_request" not in shard
+        finally:
+            router.stop()
+            server.stop()
+
     def test_session_shard_key_is_stable(self):
         import hashlib
 

@@ -235,6 +235,34 @@ class TestRefineSolve:
         assert stats.rounds == 0
         assert stats.fallbacks == 1
 
+    def test_attempts_run_through_the_driver(self, monkeypatch):
+        # Every refine attempt is one StringQuboSolver.solve call with the
+        # round's clamps and an engine-drawn seed, so the driver's own
+        # stream stays untouched for the fallback.
+        solver = _solver(
+            "(declare-const x String)"
+            "(assert (= (str.len x) 3))"
+            '(assert (str.prefixof "ab" x))'
+            "(check-sat)"
+        )
+        driver = solver._driver
+        calls = []
+        original = driver.solve
+
+        def spy(formulation, **kwargs):
+            calls.append(kwargs)
+            return original(formulation, **kwargs)
+
+        monkeypatch.setattr(driver, "solve", spy)
+        state = driver._rng.bit_generator.state
+        result = solver.check_sat()
+        assert result.status is SolveStatus.SAT
+        stats = solver.last_refine_stats
+        assert stats.fallbacks == 0
+        assert len(calls) == stats.anneals >= 1
+        assert all(len(call["clamps"]) == 14 and "seed" in call for call in calls)
+        assert driver._rng.bit_generator.state == state
+
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError):
             QuantumSMTSolver(strategy="cegar")

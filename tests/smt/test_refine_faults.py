@@ -20,7 +20,7 @@ import pytest
 
 import repro.smt.refine as refine_mod
 from repro.service.metrics import MetricsRegistry
-from repro.smt.refine import RefinementEngine, UnsoundPropagationError
+from repro.smt.refine import UnsoundPropagationError
 from repro.smt.compiler import CompilationError
 from repro.smt.solver import QuantumSMTSolver, SmtResult
 from repro.smt.status import SolveStatus
@@ -90,18 +90,18 @@ class TestLemmaPushFailure:
     def test_push_failure_falls_back_with_accounting(self, monkeypatch):
         # A round that yields a provably-bad witness triggers a lemma
         # push; the recompile refusing it must break to the fallback.
-        def failed_round(self, current, base, warm, clamp_log, params):
+        def failed_round(problem, assertions, solve_variable, *, attempts):
             return SmtResult(
                 status=SolveStatus.UNKNOWN,
                 solve_results={"x": SimpleNamespace(output="zz")},
                 reason="injected failed round",
             )
 
-        def refuse_push(self, assertions):
+        def refuse_push(assertions, **kwargs):
             raise CompilationError("injected push failure")
 
-        monkeypatch.setattr(RefinementEngine, "_solve_round", failed_round)
-        monkeypatch.setattr(RefinementEngine, "_compile", refuse_push)
+        monkeypatch.setattr(refine_mod, "decide", failed_round)
+        monkeypatch.setattr(refine_mod, "compile_assertions", refuse_push)
         metrics = MetricsRegistry()
         result = _solver(metrics=metrics).check_sat()
         assert result.status is SolveStatus.SAT
@@ -119,7 +119,7 @@ class TestRoundBudgetExhaustion:
         # the guaranteed fallback.
         calls = {"n": 0}
 
-        def bogus_round(self, current, base, warm, clamp_log, params):
+        def bogus_round(problem, assertions, solve_variable, *, attempts):
             calls["n"] += 1
             return SmtResult(
                 status=SolveStatus.UNKNOWN,
@@ -129,7 +129,7 @@ class TestRoundBudgetExhaustion:
                 reason="injected failed round",
             )
 
-        monkeypatch.setattr(RefinementEngine, "_solve_round", bogus_round)
+        monkeypatch.setattr(refine_mod, "decide", bogus_round)
         metrics = MetricsRegistry()
         solver = _solver(metrics=metrics, refine_max_rounds=3)
         result = solver.check_sat()
@@ -144,13 +144,13 @@ class TestRoundBudgetExhaustion:
     def test_unproductive_round_breaks_early(self, monkeypatch):
         # No decoded witness at all -> no lemma -> a single round, then
         # fallback (the budget is an upper bound, not a treadmill).
-        def empty_round(self, current, base, warm, clamp_log, params):
+        def empty_round(problem, assertions, solve_variable, *, attempts):
             return SmtResult(
                 status=SolveStatus.UNKNOWN,
                 reason="injected: nothing decoded",
             )
 
-        monkeypatch.setattr(RefinementEngine, "_solve_round", empty_round)
+        monkeypatch.setattr(refine_mod, "decide", empty_round)
         solver = _solver(refine_max_rounds=5)
         result = solver.check_sat()
         assert result.status is SolveStatus.SAT
