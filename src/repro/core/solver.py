@@ -107,14 +107,16 @@ class StringQuboSolver:
     ) -> SolveResult:
         """Build, sample, decode and verify one constraint.
 
+        An ``initial_states`` warm vector is fitted to the model once:
+        zero-padded when short, truncated when long.
+
         *clamps* (``{bit index: value}``, the refinement loop's implied
         bits) pins bits before sampling:
         :func:`~repro.qubo.algebra.fix_variables` folds them into a
-        reduced QUBO, an ``initial_states`` warm vector is mapped onto the
-        surviving bits (zero-padded when short), and the reduced samples
-        are expanded back to full width before decoding.
-        ``info["refine"]`` then records the clamped, reduced and full
-        widths. Without *clamps* the full QUBO is sampled as built.
+        reduced QUBO, the warm vector keeps only the surviving bits, and
+        the reduced samples are expanded back to full width before
+        decoding. ``info["refine"]`` then records the clamped, reduced and
+        full widths. Without *clamps* the full QUBO is sampled as built.
 
         A per-solve seed is drawn from the driver's stream only when
         neither *overrides* nor ``sampler_params`` supply one.
@@ -133,14 +135,14 @@ class StringQuboSolver:
                     if clamps:
                         model = fix_variables(model, clamps)[0]
             warm = params.get("initial_states")
-            if clamps is not None and warm is not None:
+            if warm is not None:
                 # Lemma frames can widen the model with fresh aux bits: a
                 # short warm state is zero-padded (the annealer re-derives
                 # those bits), then only the surviving bits are kept.
                 padded = np.zeros(full_width, dtype=np.int8)
                 warm = np.asarray(warm, dtype=np.int8).ravel()[:full_width]
                 padded[: len(warm)] = warm
-                params["initial_states"] = np.delete(padded, list(clamps))
+                params["initial_states"] = np.delete(padded, list(clamps or ()))
             with self._stage("anneal"):
                 sampleset = self.sampler.sample_model(model, **params)
         wall = timer.elapsed

@@ -368,6 +368,18 @@ class TestWarmStarts:
         result = solver.check_sat(warm_states={"x": encode_string("a")})
         assert result.status is SolveStatus.SAT
 
+    @pytest.mark.parametrize("strategy", ["direct", "refine"])
+    def test_short_warm_state_padded_on_both_strategies(self, strategy):
+        # A 14-bit warm state for the 21-bit (= x "abc") model: both
+        # strategies fit it to the model instead of failing every attempt.
+        solver = _solver(
+            '(declare-const x String)(assert (= x "abc"))(check-sat)',
+            strategy=strategy,
+        )
+        result = solver.check_sat(warm_states={"x": np.zeros(14, dtype=np.int8)})
+        assert result.status is SolveStatus.SAT
+        assert result.model == {"x": "abc"}
+
     def test_fallback_reattaches_caller_warm_states(self, monkeypatch):
         import repro.smt.refine as refine_mod
 
