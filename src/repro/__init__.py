@@ -54,7 +54,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "SimulatedAnnealingSampler",
         ),
         "repro.hardware": ("EmbeddingComposite", "SimulatedQPU"),
-        "repro.qubo": ("BinaryQuadraticModel", "QuboModel"),
+        "repro.qubo": ("QuboModel",),
         "repro.smt": ("ClassicalStringSolver", "QuantumSMTSolver"),
         "repro.service": (
             "BatchSolver",

@@ -2,20 +2,19 @@
 
 Every solver in the library — simulated annealing, SQA, exact enumeration,
 tabu, the simulated QPU and its embedding composite — implements
-:class:`Sampler.sample_model`. Convenience entry points accept raw QUBO
-dicts, Ising dicts, or labelled BQMs and normalize to the index-based
-:class:`~repro.qubo.model.QuboModel` fast path.
+:class:`Sampler.sample_model` on the index-based
+:class:`~repro.qubo.model.QuboModel`, and inherits
+:meth:`Sampler.sample_tiled` for the blocks of a tiled problem.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.anneal.sampleset import SampleSet
-from repro.qubo.bqm import BinaryQuadraticModel
 from repro.qubo.model import QuboModel
 
 __all__ = ["Sampler", "resolve_initial_states"]
@@ -69,8 +68,8 @@ class Sampler(abc.ABC):
         block content hash)``, so its result never depends on its
         tile-mates. This default solves each block with a separate
         ``sample_model`` call — correct for every sampler but with no
-        fusion speedup; SA/tabu/greedy override it with genuinely fused
-        kernels that reproduce this fallback bit-for-bit.
+        fusion speedup; simulated annealing overrides it with a fused
+        kernel that reproduces this fallback bit-for-bit.
 
         Samplers that consume a seed must list ``"seed"`` in their
         :attr:`parameters` dict; deterministic samplers (e.g. the exact
@@ -89,50 +88,3 @@ class Sampler(abc.ABC):
             )
             out.append(result)
         return out
-
-    # ------------------------------------------------------------------ #
-    # convenience entry points
-    # ------------------------------------------------------------------ #
-
-    def sample_qubo(
-        self, q: Mapping[Tuple[Hashable, Hashable], float], **params: Any
-    ) -> SampleSet:
-        """Sample a dict-form QUBO ``{(u, v): coeff}`` with arbitrary labels."""
-        bqm = BinaryQuadraticModel(vartype="BINARY")
-        for (u, v), coeff in q.items():
-            if u == v:
-                bqm.add_variable(u, coeff)
-            else:
-                bqm.add_interaction(u, v, coeff)
-        return self.sample_bqm(bqm, **params)
-
-    def sample_ising(
-        self,
-        h: Mapping[Hashable, float],
-        j: Mapping[Tuple[Hashable, Hashable], float],
-        **params: Any,
-    ) -> SampleSet:
-        """Sample an Ising model; the returned samples are in SPIN values."""
-        bqm = BinaryQuadraticModel.from_ising(h, j)
-        result = self.sample_bqm(bqm, **params)
-        # sample_bqm works in BINARY space; map the states back to spins.
-        spins = (2 * result.states.astype(int) - 1).astype("int8")
-        return SampleSet(
-            spins,
-            result.energies,
-            variables=result.variables,
-            num_occurrences=result.num_occurrences,
-            info=result.info,
-        )
-
-    def sample_bqm(self, bqm: BinaryQuadraticModel, **params: Any) -> SampleSet:
-        """Sample a labelled BQM, restoring the labels on the way out."""
-        model, order = bqm.to_qubo_model()
-        result = self.sample_model(model, **params)
-        return SampleSet(
-            result.states,
-            result.energies,
-            variables=order,
-            num_occurrences=result.num_occurrences,
-            info=result.info,
-        )

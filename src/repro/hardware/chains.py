@@ -10,11 +10,11 @@ chains.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.qubo.bqm import BinaryQuadraticModel
+from repro.qubo.ising import Couplings, Fields
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = [
@@ -24,68 +24,58 @@ __all__ = [
     "resolve_chain_breaks",
 ]
 
-Embedding = Mapping[Hashable, Sequence[Hashable]]
+#: ``logical -> [column, ...]``: each chain's columns in the physical states.
+Chains = Mapping[Hashable, Sequence[int]]
 
 
 def uniform_torque_compensation(
-    bqm: BinaryQuadraticModel, prefactor: float = 1.414
+    h: Fields, j: Couplings, prefactor: float = 1.414
 ) -> float:
     """Chain strength by the uniform torque compensation heuristic.
 
-    Estimates the coupling a chain must withstand as the RMS quadratic bias
-    times the square root of the mean degree, scaled by *prefactor*
-    (D-Wave's default is sqrt(2) ≈ 1.414). Falls back to the maximum
-    absolute bias when the model has no quadratic terms.
+    Estimates the coupling a chain must withstand from the Ising model
+    ``(h, j)``: the RMS coupling times the square root of the mean degree,
+    scaled by *prefactor* (D-Wave's default is sqrt(2) ≈ 1.414). Falls back
+    to the maximum absolute field when the model has no couplings.
     """
     if prefactor <= 0:
         raise ValueError(f"prefactor must be positive, got {prefactor}")
-    quadratic = [c for c in bqm.quadratic.values() if c != 0.0]
+    quadratic = [c for c in j.values() if c != 0.0]
     if quadratic:
         rms = float(np.sqrt(np.mean(np.square(quadratic))))
-        degrees = [bqm.degree(v) for v in bqm.variables]
-        avg_degree = float(np.mean(degrees)) if degrees else 1.0
+        variables = set(h).union(*j)
+        avg_degree = 2 * len(j) / len(variables)
         strength = prefactor * rms * np.sqrt(avg_degree)
     else:
-        linear = [abs(b) for b in bqm.linear.values()]
+        linear = [abs(b) for b in h.values()]
         strength = prefactor * (max(linear) if linear else 1.0)
     return float(strength) if strength > 0 else 1.0
 
 
-def _chain_columns(
-    embedding: Embedding, variables: Sequence[Hashable]
-) -> List[np.ndarray]:
-    """Column indices of each chain within the physical state matrix."""
-    index = {v: i for i, v in enumerate(variables)}
+def _chain_columns(chains: Chains, num_columns: int) -> List[np.ndarray]:
+    """Each chain as an index array, checked against the state width."""
     columns = []
-    for logical, chain in embedding.items():
-        try:
-            cols = np.array([index[q] for q in chain], dtype=np.int64)
-        except KeyError as exc:
-            raise KeyError(
-                f"chain of {logical!r} references unknown physical qubit {exc}"
-            ) from None
+    for logical, chain in chains.items():
+        cols = np.asarray(chain, dtype=np.int64)
         if cols.size == 0:
             raise ValueError(f"empty chain for logical variable {logical!r}")
+        if cols.min() < 0 or cols.max() >= num_columns:
+            raise KeyError(
+                f"chain of {logical!r} references unknown physical qubit "
+                f"(columns {list(chain)} of {num_columns})"
+            )
         columns.append(cols)
     return columns
 
 
-def chain_break_fraction(
-    states: np.ndarray, embedding: Embedding, variables: Sequence[Hashable]
-) -> np.ndarray:
+def chain_break_fraction(states: np.ndarray, chains: Chains) -> np.ndarray:
     """Per-row fraction of chains whose qubits disagree.
 
-    Parameters
-    ----------
-    states:
-        ``(R, num_physical)`` array of physical samples (0/1 or ±1).
-    embedding:
-        ``logical -> [physical...]`` chain map.
-    variables:
-        Column labels of *states*.
+    *states* is the ``(R, num_physical)`` array of physical samples (0/1
+    or ±1); *chains* maps each logical variable to its columns.
     """
     states = np.atleast_2d(np.asarray(states))
-    columns = _chain_columns(embedding, variables)
+    columns = _chain_columns(chains, states.shape[1])
     broken = np.zeros(states.shape[0], dtype=np.int64)
     for cols in columns:
         chain_vals = states[:, cols]
@@ -94,10 +84,7 @@ def chain_break_fraction(
 
 
 def majority_vote(
-    states: np.ndarray,
-    embedding: Embedding,
-    variables: Sequence[Hashable],
-    seed: SeedLike = None,
+    states: np.ndarray, chains: Chains, seed: SeedLike = None
 ) -> Tuple[np.ndarray, List[Hashable]]:
     """Unembed by per-chain majority vote (random tie-break).
 
@@ -108,8 +95,8 @@ def majority_vote(
     states = np.atleast_2d(np.asarray(states))
     lo = int(states.min(initial=0))
     low_value = -1 if lo < 0 else 0
-    columns = _chain_columns(embedding, variables)
-    order = list(embedding.keys())
+    columns = _chain_columns(chains, states.shape[1])
+    order = list(chains)
     out = np.empty((states.shape[0], len(order)), dtype=np.int8)
     for j, cols in enumerate(columns):
         chain_vals = states[:, cols]
@@ -127,8 +114,7 @@ def majority_vote(
 
 def resolve_chain_breaks(
     states: np.ndarray,
-    embedding: Embedding,
-    variables: Sequence[Hashable],
+    chains: Chains,
     method: str = "majority",
     seed: SeedLike = None,
 ) -> Tuple[np.ndarray, List[Hashable], np.ndarray]:
@@ -149,11 +135,11 @@ def resolve_chain_breaks(
     states = np.atleast_2d(np.asarray(states))
     all_rows = np.arange(states.shape[0])
     if method == "majority":
-        logical, order = majority_vote(states, embedding, variables, seed=seed)
+        logical, order = majority_vote(states, chains, seed=seed)
         return logical, order, all_rows
     if method == "discard":
-        fractions = chain_break_fraction(states, embedding, variables)
+        fractions = chain_break_fraction(states, chains)
         kept = all_rows[fractions == 0.0]
-        logical, order = majority_vote(states[kept], embedding, variables, seed=seed)
+        logical, order = majority_vote(states[kept], chains, seed=seed)
         return logical, order, kept
     raise ValueError(f"method must be 'majority' or 'discard', got {method!r}")

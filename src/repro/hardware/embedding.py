@@ -11,6 +11,12 @@ the spirit of ``minorminer``: logical variables are embedded one at a time
 (highest degree first); each new variable's chain is grown from the free
 qubit minimizing the total shortest-path distance to all already-embedded
 neighbour chains, taking the union of those paths.
+
+:func:`embed_ising` spreads a logical Ising model ``(h, J)`` over the
+chains, and :class:`EmbeddingComposite` runs the whole path on a
+:class:`~repro.qubo.model.QuboModel`: its interaction graph is embedded,
+its Ising form is programmed into the device, and the physical reads are
+unembedded through the chains' column indices.
 """
 
 from __future__ import annotations
@@ -28,15 +34,15 @@ from repro.hardware.chains import (
     resolve_chain_breaks,
     uniform_torque_compensation,
 )
-from repro.qubo.bqm import BinaryQuadraticModel
-from repro.qubo.vartypes import BINARY, SPIN
+from repro.qubo.ising import Couplings, Fields, model_to_ising
+from repro.qubo.model import QuboModel
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = [
     "EmbeddingError",
     "find_embedding",
     "verify_embedding",
-    "embed_bqm",
+    "embed_ising",
     "EmbeddingComposite",
 ]
 
@@ -263,49 +269,50 @@ def _chains_coupled(
     return any(nbr in set_v for q in chain_u for nbr in target[q])
 
 
-def embed_bqm(
-    bqm: BinaryQuadraticModel,
+def embed_ising(
+    h: Fields,
+    j: Couplings,
+    offset: float,
     embedding: Mapping[Hashable, Sequence[Hashable]],
     target: nx.Graph,
     chain_strength: float,
-) -> BinaryQuadraticModel:
-    """Build the physical SPIN model realizing *bqm* under *embedding*.
+) -> Tuple[Dict, Dict, float]:
+    """The physical Ising ``(h, J, offset)`` realizing ``(h, j, offset)``.
 
-    Linear biases are split evenly over chain qubits; each logical coupling
-    is split evenly over all available physical couplers between the two
+    Fields are split evenly over chain qubits; each logical coupling is
+    split evenly over all available physical couplers between the two
     chains; intra-chain couplers get the ferromagnetic ``-chain_strength``.
+    Qubits are listed chain by chain in *embedding* order. Each coupler is
+    listed under its first-listed qubit, in the order it was added.
     """
     if chain_strength <= 0:
         raise ValueError(f"chain_strength must be positive, got {chain_strength}")
-    spin = bqm if bqm.vartype is SPIN else bqm.change_vartype(SPIN)
-    physical = BinaryQuadraticModel(vartype=SPIN, offset=spin.offset)
-
+    physical_h: Dict[Hashable, float] = {}
+    couplers: Dict[Tuple[Hashable, Hashable], float] = {}
     for logical, chain in embedding.items():
-        bias = spin.get_linear(logical) / len(chain)
+        bias = h[logical] / len(chain)
         for q in chain:
-            physical.add_variable(q, bias)
+            physical_h[q] = bias
         # Ferromagnetic chain bonds on every induced edge, offset-corrected
         # so an unbroken chain contributes zero energy.
-        chain_edges = [
-            (a, b) for a, b in target.subgraph(chain).edges()
-        ]
-        for a, b in chain_edges:
-            physical.add_interaction(a, b, -chain_strength)
-        physical.offset += chain_strength * len(chain_edges)
+        chain_edges = list(target.subgraph(chain).edges())
+        for edge in chain_edges:
+            couplers[edge] = -chain_strength
+        offset += chain_strength * len(chain_edges)
 
-    for (u, v), coupling in spin.quadratic.items():
-        couplers = [
-            (a, b)
-            for a in embedding[u]
-            for b in embedding[v]
-            if target.has_edge(a, b)
+    for (u, v), coupling in j.items():
+        shared = [
+            (a, b) for a in embedding[u] for b in embedding[v] if target.has_edge(a, b)
         ]
-        if not couplers:
+        if not shared:
             raise ValueError(f"no physical coupler available for edge ({u!r}, {v!r})")
-        share = coupling / len(couplers)
-        for a, b in couplers:
-            physical.add_interaction(a, b, share)
-    return physical
+        for edge in shared:
+            couplers[edge] = coupling / len(shared)
+    column = {q: c for c, q in enumerate(physical_h)}
+    physical_j = dict(
+        sorted(couplers.items(), key=lambda item: min(map(column.get, item[0])))
+    )
+    return physical_h, physical_j, offset
 
 
 # --------------------------------------------------------------------- #
@@ -314,12 +321,12 @@ def embed_bqm(
 
 
 class EmbeddingComposite(Sampler):
-    """Make a topology-restricted sampler accept arbitrary models.
+    """Make a topology-restricted device accept arbitrary models.
 
-    Wraps a :class:`~repro.hardware.qpu.SimulatedQPU` (or any sampler
-    exposing a ``topology`` graph): finds a minor embedding, builds the
-    physical model, samples it, resolves chain breaks, and rescores the
-    logical states against the **original** model.
+    Wraps a :class:`~repro.hardware.qpu.SimulatedQPU` (or any device
+    exposing a ``topology`` graph and ``anneal_ising``): finds a minor
+    embedding, programs the physical Ising model, resolves chain breaks,
+    and rescores the logical states against the **original** model.
 
     Parameters
     ----------
@@ -347,11 +354,11 @@ class EmbeddingComposite(Sampler):
         self.resolve = resolve
         self.embedding_tries = embedding_tries
 
-    def sample_bqm(
-        self, bqm: BinaryQuadraticModel, *, seed: SeedLike = None, **params: Any
+    def sample_model(
+        self, model: QuboModel, *, seed: SeedLike = None, **params: Any
     ) -> SampleSet:
         rng = ensure_rng(seed)
-        source = bqm.interaction_graph()
+        source = model.interaction_graph()
         embedding = find_embedding(
             source,
             self.qpu.topology,
@@ -360,33 +367,30 @@ class EmbeddingComposite(Sampler):
         )
         verify_embedding(embedding, source, self.qpu.topology)
 
+        h, j, offset = model_to_ising(model)
         strength = (
             self.chain_strength
             if self.chain_strength is not None
-            else uniform_torque_compensation(bqm.change_vartype(SPIN))
+            else uniform_torque_compensation(h, j)
         )
-        physical = embed_bqm(bqm, embedding, self.qpu.topology, strength)
-        raw = self.qpu.sample_bqm(
-            physical, seed=int(rng.integers(0, 2**63 - 1)), **params
+        physical = embed_ising(h, j, offset, embedding, self.qpu.topology, strength)
+        raw = self.qpu.anneal_ising(
+            *physical, seed=int(rng.integers(0, 2**63 - 1)), **params
         )
 
-        fractions = chain_break_fraction(raw.states, embedding, raw.variables)
-        logical_states, order, kept = resolve_chain_breaks(
-            raw.states, embedding, raw.variables, method=self.resolve, seed=rng
+        column = {q: c for c, q in enumerate(physical[0])}
+        chains = {v: [column[q] for q in chain] for v, chain in embedding.items()}
+        fractions = chain_break_fraction(raw.states, chains)
+        logical, order, kept = resolve_chain_breaks(
+            raw.states, chains, method=self.resolve, seed=rng
         )
-        if logical_states.shape[0] == 0:
-            out = SampleSet.empty(order)
-        else:
-            scoring = logical_states
-            if bqm.vartype is SPIN:
-                scoring = (2 * logical_states.astype(int) - 1).astype(np.int8)
-            energies = bqm.energies(scoring, order=order)
-            out = SampleSet(
-                scoring,
-                energies,
-                variables=order,
-                num_occurrences=raw.num_occurrences[kept],
-            )
+        # Columns back in index order 0..n-1.
+        states = logical[:, np.argsort(order)]
+        out = SampleSet(
+            states,
+            model.energies(states),
+            num_occurrences=raw.num_occurrences[kept],
+        )
         out.info.update(
             {
                 "sampler": f"EmbeddingComposite({type(self.qpu).__name__})",
@@ -399,21 +403,3 @@ class EmbeddingComposite(Sampler):
             }
         )
         return out
-
-    def sample_model(self, model, **params: Any) -> SampleSet:
-        """Index-based entry point: lift to a BQM and embed."""
-        bqm = BinaryQuadraticModel.from_qubo_model(model)
-        result = self.sample_bqm(bqm, **params)
-        # Restore integer-index column order 0..n-1.
-        order = list(range(model.num_variables))
-        index = {v: i for i, v in enumerate(result.variables)}
-        if len(result) == 0:
-            return SampleSet.empty(order)
-        cols = [index[i] for i in order]
-        return SampleSet(
-            result.states[:, cols],
-            result.energies,
-            variables=order,
-            num_occurrences=result.num_occurrences,
-            info=result.info,
-        )

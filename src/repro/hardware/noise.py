@@ -9,9 +9,9 @@ to mitigate.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-from repro.qubo.bqm import BinaryQuadraticModel
+from repro.qubo.ising import Couplings, Fields
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_non_negative
 
@@ -19,12 +19,12 @@ __all__ = ["GaussianNoiseModel"]
 
 
 class GaussianNoiseModel:
-    """I.i.d. Gaussian perturbation of linear and quadratic biases.
+    """I.i.d. Gaussian perturbation of Ising fields and couplings.
 
     Parameters
     ----------
     h_sigma:
-        Standard deviation of the error on linear biases (default 0.02, the
+        Standard deviation of the error on fields (default 0.02, the
         order of magnitude D-Wave quotes for integrated control errors).
     j_sigma:
         Standard deviation of the error on couplings (default 0.01).
@@ -50,30 +50,33 @@ class GaussianNoiseModel:
         self.j_range = j_range
 
     def apply(
-        self, bqm: BinaryQuadraticModel, seed: SeedLike = None
-    ) -> BinaryQuadraticModel:
-        """Return a perturbed copy of *bqm* (the input is untouched)."""
+        self, h: Fields, j: Couplings, seed: SeedLike = None
+    ) -> Tuple[Dict, Dict]:
+        """Perturbed copies of the programmed ``(h, J)`` (inputs untouched).
+
+        Draws every field first, then every coupling, each in dict order.
+        """
         rng = ensure_rng(seed)
-        noisy = bqm.copy()
-        for v in noisy.variables:
-            bias = noisy.get_linear(v)
-            if self.h_sigma:
-                bias += rng.normal(0.0, self.h_sigma)
-            if self.h_range is not None:
-                bias = min(max(bias, -self.h_range), self.h_range)
-            noisy.set_linear(v, bias)
-        for (u, v), coupling in bqm.quadratic.items():
-            perturbed = coupling
-            if self.j_sigma:
-                perturbed += rng.normal(0.0, self.j_sigma)
-            if self.j_range is not None:
-                perturbed = min(max(perturbed, -self.j_range), self.j_range)
-            # add_interaction accumulates; add the delta.
-            noisy.add_interaction(u, v, perturbed - coupling)
-        return noisy
+        noisy_h = {
+            v: _perturb(bias, self.h_sigma, self.h_range, rng)
+            for v, bias in h.items()
+        }
+        noisy_j = {
+            pair: _perturb(coupling, self.j_sigma, self.j_range, rng)
+            for pair, coupling in j.items()
+        }
+        return noisy_h, noisy_j
 
     def __repr__(self) -> str:
         return (
             f"GaussianNoiseModel(h_sigma={self.h_sigma}, j_sigma={self.j_sigma}, "
             f"h_range={self.h_range}, j_range={self.j_range})"
         )
+
+
+def _perturb(value: float, sigma: float, bound: Optional[float], rng) -> float:
+    if sigma:
+        value += rng.normal(0.0, sigma)
+    if bound is not None:
+        value = min(max(value, -bound), bound)
+    return value

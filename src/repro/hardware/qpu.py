@@ -4,7 +4,8 @@
 
 * it only accepts models *native* to its qubit topology (use
   :class:`~repro.hardware.embedding.EmbeddingComposite` for anything else);
-* it perturbs the programmed biases with a control-noise model before
+* it is programmed with an Ising model ``(h, J)`` over qubits, and its
+  control-noise model perturbs those fields and couplings before
   annealing;
 * it anneals with a configurable backend — classical SA by default, or
   :class:`~repro.anneal.sqa.PathIntegralAnnealer` for transverse-field
@@ -25,7 +26,7 @@ from repro.anneal.sampleset import SampleSet
 from repro.anneal.simulated import SimulatedAnnealingSampler
 from repro.hardware.chimera import chimera_graph
 from repro.hardware.noise import GaussianNoiseModel
-from repro.qubo.bqm import BinaryQuadraticModel
+from repro.qubo.ising import Couplings, Fields, ising_to_qubo, model_to_ising
 from repro.qubo.model import QuboModel
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -77,44 +78,65 @@ class SimulatedQPU(Sampler):
 
     # ------------------------------------------------------------------ #
 
-    def validate_native(self, bqm: BinaryQuadraticModel) -> None:
-        """Raise ``ValueError`` unless *bqm* fits the topology directly."""
-        for v in bqm.variables:
-            if v not in self.topology:
-                raise ValueError(f"variable {v!r} is not a qubit of {self.name}")
-        for (u, v), coupling in bqm.quadratic.items():
-            if coupling != 0.0 and not self.topology.has_edge(u, v):
+    def sample_model(
+        self, model: QuboModel, *, seed: SeedLike = None, **params: Any
+    ) -> SampleSet:
+        """Anneal a native model: variable ``i`` is qubit ``i``."""
+        return self._anneal(*model_to_ising(model), model, seed, params)
+
+    def anneal_ising(
+        self,
+        h: Fields,
+        j: Couplings,
+        offset: float = 0.0,
+        *,
+        seed: SeedLike = None,
+        **params: Any,
+    ) -> SampleSet:
+        """Anneal fields *h* and couplings *j* programmed over qubits.
+
+        Column ``c`` of the returned BINARY states is the ``c``-th qubit
+        of *h*.
+        """
+        return self._anneal(h, j, offset, _qubo_form(h, j, offset), seed, params)
+
+    def _anneal(
+        self, h: Fields, j: Couplings, offset: float, clean: QuboModel, seed, params
+    ) -> SampleSet:
+        """Program ``(h, j)`` through the noise model, anneal its QUBO form,
+        and score the reads against *clean*, the noise-free problem."""
+        for q in h:
+            if q not in self.topology:
+                raise ValueError(f"variable {q!r} is not a qubit of {self.name}")
+        for u, v in j:
+            if not self.topology.has_edge(u, v):
                 raise ValueError(
                     f"interaction ({u!r}, {v!r}) has no coupler on {self.name}; "
                     "use EmbeddingComposite for non-native models"
                 )
-
-    def sample_bqm(
-        self, bqm: BinaryQuadraticModel, *, seed: SeedLike = None, **params: Any
-    ) -> SampleSet:
-        """Anneal a native model; states come back in BINARY values."""
-        self.validate_native(bqm)
         rng = ensure_rng(seed)
-        programmed = bqm
+        programmed = clean
         if self.noise is not None:
-            programmed = self.noise.apply(bqm, seed=rng)
-        result = self.backend.sample_bqm(
+            programmed = _qubo_form(*self.noise.apply(h, j, seed=rng), offset)
+        result = self.backend.sample_model(
             programmed, seed=int(rng.integers(0, 2**63 - 1)), **params
         )
-        # Score against the *submitted* model, not the noisy one the device ran.
-        clean = bqm if bqm.vartype.name == "BINARY" else bqm.change_vartype("BINARY")
-        energies = clean.energies(result.states, order=result.variables)
         out = SampleSet(
             result.states,
-            energies,
-            variables=result.variables,
+            clean.energies(result.states),
             num_occurrences=result.num_occurrences,
             info=result.info,
         )
         out.info.update({"device": self.name, "noisy": self.noise is not None})
         return out
 
-    def sample_model(self, model: QuboModel, **params: Any) -> SampleSet:
-        """Treat model indices as qubit labels and anneal natively."""
-        bqm = BinaryQuadraticModel.from_qubo_model(model)
-        return self.sample_bqm(bqm, **params)
+
+def _qubo_form(h: Fields, j: Couplings, offset: float) -> QuboModel:
+    """The QUBO the backend anneals: qubits become columns in *h* order."""
+    column = {q: c for c, q in enumerate(h)}
+    coefficients, qubo_offset = ising_to_qubo(
+        {column[q]: bias for q, bias in h.items()},
+        {(column[u], column[v]): coupling for (u, v), coupling in j.items()},
+        offset,
+    )
+    return QuboModel(len(h), coefficients, qubo_offset)

@@ -1,14 +1,14 @@
-"""QUBO / binary-quadratic-model substrate.
+"""QUBO substrate.
 
 This subpackage is a from-scratch replacement for the parts of D-Wave's
-``dimod`` package that the paper relies on:
+``dimod`` package that the paper relies on, on one data model:
 
 * :class:`~repro.qubo.model.QuboModel` — an index-based QUBO over variables
   ``0..n-1``, with dict storage, dense/sparse matrix views, and vectorized
-  energy evaluation.
-* :class:`~repro.qubo.bqm.BinaryQuadraticModel` — labelled variables, SPIN or
-  BINARY vartype, offset tracking, and conversions to/from ``QuboModel``.
-* :mod:`~repro.qubo.ising` — exact QUBO ↔ Ising transforms.
+  energy evaluation. Every formulation builds one and every sampler
+  consumes one.
+* :mod:`~repro.qubo.ising` — exact QUBO ↔ Ising transforms, including the
+  Ising form of a ``QuboModel`` that the hardware emulation programs.
 * :mod:`~repro.qubo.energy` — batched energy kernels (the hot path shared by
   every sampler).
 * :mod:`~repro.qubo.sparse` — the CSR sampler form every sampler kernel
@@ -22,10 +22,8 @@ from repro.utils.lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.qubo.vartypes": ("BINARY", "SPIN", "Vartype"),
         "repro.qubo.model": ("QuboModel",),
-        "repro.qubo.bqm": ("BinaryQuadraticModel",),
-        "repro.qubo.ising": ("ising_to_qubo", "qubo_to_ising"),
+        "repro.qubo.ising": ("ising_to_qubo", "model_to_ising", "qubo_to_ising"),
         "repro.qubo.energy": (
             "qubo_energies",
             "qubo_energy",

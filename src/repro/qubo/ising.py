@@ -9,13 +9,25 @@ into the offset so that every state keeps its energy.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Tuple
 
 import numpy as np
 
-__all__ = ["qubo_to_ising", "ising_to_qubo", "spins_to_binary", "binary_to_spins"]
+if TYPE_CHECKING:
+    from repro.qubo.model import QuboModel
+
+__all__ = [
+    "qubo_to_ising",
+    "ising_to_qubo",
+    "model_to_ising",
+    "spins_to_binary",
+    "binary_to_spins",
+]
 
 PairDict = Mapping[Tuple[int, int], float]
+#: Ising fields ``{variable: h}`` and couplings ``{(u, v): J}`` over any labels.
+Fields = Mapping[Hashable, float]
+Couplings = Mapping[Tuple[Hashable, Hashable], float]
 
 
 def qubo_to_ising(
@@ -43,6 +55,28 @@ def qubo_to_ising(
             h[b] = h.get(b, 0.0) + value / 4.0
             off += value / 4.0
     return h, j, off
+
+
+def model_to_ising(
+    model: QuboModel,
+) -> Tuple[Dict[int, float], Dict[Tuple[int, int], float], float]:
+    """Ising ``(h, J, offset)`` of a :class:`~repro.qubo.model.QuboModel`.
+
+    ``h`` holds every variable, in index order. ``J`` lists each coupling
+    under its lower index, rows in index order and insertion order within
+    a row. Both orders are the ones the hardware emulation programs,
+    perturbs and sums the terms in.
+    """
+    coefficients = {(i, i): 0.0 for i in range(model.num_variables)}
+    couplings = []
+    for i, j, value in model.iter_coefficients():
+        if i == j:
+            coefficients[(i, i)] = value
+        else:
+            couplings.append(((i, j), value))
+    couplings.sort(key=lambda item: item[0][0])
+    coefficients.update(couplings)
+    return qubo_to_ising(coefficients, model.offset)
 
 
 def ising_to_qubo(

@@ -1,10 +1,9 @@
 """The index-based QUBO model.
 
-:class:`QuboModel` is the workhorse container produced by every string
-formulation in :mod:`repro.core` and consumed by every sampler in
-:mod:`repro.anneal`. Variables are the integers ``0 .. num_variables-1``;
-labelled models live one level up in
-:class:`repro.qubo.bqm.BinaryQuadraticModel`.
+:class:`QuboModel` is the one QUBO container: every string formulation in
+:mod:`repro.core` produces it, and every sampler in :mod:`repro.anneal`
+and the hardware emulation in :mod:`repro.hardware` consume it. Variables
+are the integers ``0 .. num_variables-1``.
 
 Design notes
 ------------

@@ -1,6 +1,6 @@
 """Model serialization: JSON-compatible dicts and file round-trips.
 
-Lets QUBOs/BQMs produced by the string compiler be stored, diffed, and
+Lets QUBOs produced by the string compiler be stored, diffed, and
 shipped to other tools (or a real annealer's API, which accepts exactly
 this shape of payload). The format is deliberately plain:
 
@@ -12,10 +12,6 @@ this shape of payload). The format is deliberately plain:
   "quadratic": [[0, 7, -2.0], ...]
 }
 ```
-
-BQMs additionally carry ``vartype`` and a ``variables`` label list (labels
-must be JSON-representable; tuples are converted to lists and restored as
-tuples on load).
 """
 
 from __future__ import annotations
@@ -24,20 +20,11 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Union
 
-from repro.qubo.bqm import BinaryQuadraticModel
 from repro.qubo.model import QuboModel
 
-__all__ = [
-    "qubo_to_dict",
-    "qubo_from_dict",
-    "bqm_to_dict",
-    "bqm_from_dict",
-    "save_model",
-    "load_model",
-]
+__all__ = ["qubo_to_dict", "qubo_from_dict", "save_model", "load_model"]
 
 _QUBO_FORMAT = "repro-qubo"
-_BQM_FORMAT = "repro-bqm"
 _VERSION = 1
 
 
@@ -71,76 +58,19 @@ def qubo_from_dict(payload: Dict[str, Any]) -> QuboModel:
     return model
 
 
-def _label_out(label: Any) -> Any:
-    if isinstance(label, tuple):
-        return {"__tuple__": [_label_out(x) for x in label]}
-    return label
-
-
-def _label_in(label: Any) -> Any:
-    if isinstance(label, dict) and "__tuple__" in label:
-        return tuple(_label_in(x) for x in label["__tuple__"])
-    return label
-
-
-def bqm_to_dict(bqm: BinaryQuadraticModel) -> Dict[str, Any]:
-    """Serialize a labelled BQM (labels must be JSON-representable)."""
-    variables = bqm.variables
-    index = {v: i for i, v in enumerate(variables)}
-    return {
-        "format": _BQM_FORMAT,
-        "version": _VERSION,
-        "vartype": bqm.vartype.name,
-        "offset": bqm.offset,
-        "variables": [_label_out(v) for v in variables],
-        "linear": {str(index[v]): bias for v, bias in bqm.linear.items()},
-        "quadratic": sorted(
-            [index[u], index[v], coupling]
-            if index[u] < index[v]
-            else [index[v], index[u], coupling]
-            for (u, v), coupling in bqm.quadratic.items()
-        ),
-    }
-
-
-def bqm_from_dict(payload: Dict[str, Any]) -> BinaryQuadraticModel:
-    """Inverse of :func:`bqm_to_dict`."""
-    _check_header(payload, _BQM_FORMAT)
-    variables = [_label_in(v) for v in payload["variables"]]
-    bqm = BinaryQuadraticModel(
-        vartype=payload["vartype"], offset=float(payload["offset"])
-    )
-    for v in variables:
-        bqm.add_variable(v)
-    for key, bias in payload["linear"].items():
-        bqm.set_linear(variables[int(key)], float(bias))
-    for i, j, coupling in payload["quadratic"]:
-        bqm.add_interaction(variables[int(i)], variables[int(j)], float(coupling))
-    return bqm
-
-
-def save_model(
-    model: Union[QuboModel, BinaryQuadraticModel], path: Union[str, Path]
-) -> None:
+def save_model(model: QuboModel, path: Union[str, Path]) -> None:
     """Write a model to a JSON file."""
-    if isinstance(model, QuboModel):
-        payload = qubo_to_dict(model)
-    elif isinstance(model, BinaryQuadraticModel):
-        payload = bqm_to_dict(model)
-    else:
+    if not isinstance(model, QuboModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
+    Path(path).write_text(json.dumps(qubo_to_dict(model), indent=1, sort_keys=True))
 
 
-def load_model(path: Union[str, Path]) -> Union[QuboModel, BinaryQuadraticModel]:
-    """Read a model written by :func:`save_model` (dispatches on format)."""
+def load_model(path: Union[str, Path]) -> QuboModel:
+    """Read a model written by :func:`save_model`."""
     payload = json.loads(Path(path).read_text())
-    fmt = payload.get("format")
-    if fmt == _QUBO_FORMAT:
-        return qubo_from_dict(payload)
-    if fmt == _BQM_FORMAT:
-        return bqm_from_dict(payload)
-    raise ValueError(f"unrecognized model format: {fmt!r}")
+    if payload.get("format") != _QUBO_FORMAT:
+        raise ValueError(f"unrecognized model format: {payload.get('format')!r}")
+    return qubo_from_dict(payload)
 
 
 def _check_header(payload: Dict[str, Any], expected: str) -> None:

@@ -152,7 +152,7 @@ class TestTiledEdgeCases:
         tiled = tile_models(
             [QuboModel(5, {(0, 4): 1.0}), QuboModel(2, {(0, 1): 1.0})]
         )
-        with pytest.raises(ValueError, match="every block"):
+        with pytest.raises(ValueError, match=r"tenure must lie in \[0, n\)"):
             TabuSampler().sample_tiled(tiled, tenure=3, seed=1)
 
     def test_unknown_params_rejected(self):

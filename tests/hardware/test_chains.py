@@ -7,118 +7,115 @@ from repro.hardware.chains import (
     resolve_chain_breaks,
     uniform_torque_compensation,
 )
-from repro.qubo.bqm import BinaryQuadraticModel
 
 
 class TestUniformTorqueCompensation:
     def test_scales_with_coupling_magnitude(self):
-        weak = BinaryQuadraticModel({}, {("a", "b"): 0.1}, vartype="SPIN")
-        strong = BinaryQuadraticModel({}, {("a", "b"): 10.0}, vartype="SPIN")
-        assert uniform_torque_compensation(strong) > uniform_torque_compensation(weak)
+        weak = ({}, {("a", "b"): 0.1})
+        strong = ({}, {("a", "b"): 10.0})
+        assert uniform_torque_compensation(*strong) > uniform_torque_compensation(*weak)
 
     def test_linear_only_model_uses_max_bias(self):
-        bqm = BinaryQuadraticModel({"a": -3.0, "b": 1.0}, vartype="SPIN")
-        assert uniform_torque_compensation(bqm, prefactor=1.0) == pytest.approx(3.0)
+        h = {"a": -3.0, "b": 1.0}
+        assert uniform_torque_compensation(h, {}, prefactor=1.0) == pytest.approx(3.0)
 
     def test_empty_model_positive(self):
-        assert uniform_torque_compensation(BinaryQuadraticModel()) > 0
+        assert uniform_torque_compensation({}, {}) > 0
 
     def test_prefactor(self):
-        bqm = BinaryQuadraticModel({}, {("a", "b"): 1.0}, vartype="SPIN")
-        one = uniform_torque_compensation(bqm, prefactor=1.0)
-        two = uniform_torque_compensation(bqm, prefactor=2.0)
+        j = {("a", "b"): 1.0}
+        one = uniform_torque_compensation({}, j, prefactor=1.0)
+        two = uniform_torque_compensation({}, j, prefactor=2.0)
         assert two == pytest.approx(2 * one)
 
     def test_bad_prefactor(self):
         with pytest.raises(ValueError):
-            uniform_torque_compensation(BinaryQuadraticModel(), prefactor=0.0)
+            uniform_torque_compensation({}, {}, prefactor=0.0)
 
 
 class TestChainBreakFraction:
     def test_no_breaks(self):
         states = np.array([[1, 1, 0, 0]], dtype=np.int8)
-        emb = {"x": ["q0", "q1"], "y": ["q2", "q3"]}
-        frac = chain_break_fraction(states, emb, ["q0", "q1", "q2", "q3"])
+        emb = {"x": [0, 1], "y": [2, 3]}
+        frac = chain_break_fraction(states, emb)
         assert frac[0] == 0.0
 
     def test_one_break(self):
         states = np.array([[1, 0, 0, 0]], dtype=np.int8)
-        emb = {"x": ["q0", "q1"], "y": ["q2", "q3"]}
-        frac = chain_break_fraction(states, emb, ["q0", "q1", "q2", "q3"])
+        emb = {"x": [0, 1], "y": [2, 3]}
+        frac = chain_break_fraction(states, emb)
         assert frac[0] == 0.5
 
     def test_multiple_rows(self):
         states = np.array([[1, 1], [1, 0]], dtype=np.int8)
-        emb = {"x": ["a", "b"]}
-        frac = chain_break_fraction(states, emb, ["a", "b"])
+        emb = {"x": [0, 1]}
+        frac = chain_break_fraction(states, emb)
         np.testing.assert_allclose(frac, [0.0, 1.0])
 
     def test_unknown_qubit_raises(self):
         with pytest.raises(KeyError):
-            chain_break_fraction(np.zeros((1, 1)), {"x": ["nope"]}, ["a"])
+            chain_break_fraction(np.zeros((1, 1)), {"x": [1]})
 
     def test_empty_chain_raises(self):
         with pytest.raises(ValueError):
-            chain_break_fraction(np.zeros((1, 1)), {"x": []}, ["a"])
+            chain_break_fraction(np.zeros((1, 1)), {"x": []})
 
 
 class TestMajorityVote:
     def test_unbroken_chain_passthrough(self):
         states = np.array([[1, 1, 0]], dtype=np.int8)
-        emb = {"x": ["a", "b"], "y": ["c"]}
-        logical, order = majority_vote(states, emb, ["a", "b", "c"])
+        emb = {"x": [0, 1], "y": [2]}
+        logical, order = majority_vote(states, emb)
         assert order == ["x", "y"]
         np.testing.assert_array_equal(logical[0], [1, 0])
 
     def test_majority_wins(self):
         states = np.array([[1, 1, 0]], dtype=np.int8)
-        emb = {"x": ["a", "b", "c"]}
-        logical, _ = majority_vote(states, emb, ["a", "b", "c"])
+        emb = {"x": [0, 1, 2]}
+        logical, _ = majority_vote(states, emb)
         assert logical[0, 0] == 1
 
     def test_tie_broken_randomly_but_validly(self):
         states = np.array([[1, 0]], dtype=np.int8)
-        emb = {"x": ["a", "b"]}
-        logical, _ = majority_vote(states, emb, ["a", "b"], seed=0)
+        emb = {"x": [0, 1]}
+        logical, _ = majority_vote(states, emb, seed=0)
         assert logical[0, 0] in (0, 1)
 
     def test_spin_states_resolve_to_spins(self):
         states = np.array([[-1, -1, 1]], dtype=np.int8)
-        emb = {"x": ["a", "b"], "y": ["c"]}
-        logical, _ = majority_vote(states, emb, ["a", "b", "c"])
+        emb = {"x": [0, 1], "y": [2]}
+        logical, _ = majority_vote(states, emb)
         np.testing.assert_array_equal(logical[0], [-1, 1])
 
 
 class TestResolveChainBreaks:
     def test_majority_keeps_all_rows(self):
         states = np.array([[1, 0], [1, 1]], dtype=np.int8)
-        emb = {"x": ["a", "b"]}
+        emb = {"x": [0, 1]}
         logical, order, kept = resolve_chain_breaks(
-            states, emb, ["a", "b"], method="majority", seed=0
+            states, emb, method="majority", seed=0
         )
         assert len(kept) == 2
         assert logical.shape == (2, 1)
 
     def test_discard_drops_broken_rows(self):
         states = np.array([[1, 0], [1, 1], [0, 0]], dtype=np.int8)
-        emb = {"x": ["a", "b"]}
-        logical, order, kept = resolve_chain_breaks(
-            states, emb, ["a", "b"], method="discard"
-        )
+        emb = {"x": [0, 1]}
+        logical, order, kept = resolve_chain_breaks(states, emb, method="discard")
         np.testing.assert_array_equal(kept, [1, 2])
         np.testing.assert_array_equal(logical[:, 0], [1, 0])
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            resolve_chain_breaks(np.zeros((1, 1)), {"x": ["a"]}, ["a"], method="pray")
+            resolve_chain_breaks(np.zeros((1, 1)), {"x": [0]}, method="pray")
 
     def test_single_qubit_chain_passthrough(self):
         # A length-1 chain can never break; both methods are the identity.
         states = np.array([[1], [0]], dtype=np.int8)
-        emb = {"x": ["q"]}
+        emb = {"x": [0]}
         for method in ("majority", "discard"):
             logical, order, kept = resolve_chain_breaks(
-                states, emb, ["q"], method=method, seed=0
+                states, emb, method=method, seed=0
             )
             assert order == ["x"]
             np.testing.assert_array_equal(kept, [0, 1])
@@ -127,10 +124,8 @@ class TestResolveChainBreaks:
     def test_discard_all_broken_returns_empty(self):
         # Every row broken -> discard keeps nothing but stays well-shaped.
         states = np.array([[1, 0], [0, 1]], dtype=np.int8)
-        emb = {"x": ["a", "b"]}
-        logical, order, kept = resolve_chain_breaks(
-            states, emb, ["a", "b"], method="discard"
-        )
+        emb = {"x": [0, 1]}
+        logical, order, kept = resolve_chain_breaks(states, emb, method="discard")
         assert order == ["x"]
         assert kept.size == 0
         assert logical.shape == (0, 1)
@@ -142,18 +137,17 @@ class TestSeededTieBreaks:
         # identically across calls (the embedding composite relies on this).
         rng = np.random.default_rng(0)
         states = rng.integers(0, 2, size=(32, 4), dtype=np.int8)
-        emb = {"x": ["a", "b"], "y": ["c", "d"]}
-        qubits = ["a", "b", "c", "d"]
-        first, _ = majority_vote(states, emb, qubits, seed=123)
-        second, _ = majority_vote(states, emb, qubits, seed=123)
+        emb = {"x": [0, 1], "y": [2, 3]}
+        first, _ = majority_vote(states, emb, seed=123)
+        second, _ = majority_vote(states, emb, seed=123)
         np.testing.assert_array_equal(first, second)
 
     def test_majority_vote_seeds_differ(self):
         # Different seeds must be able to break an exact tie differently.
         states = np.tile(np.array([[1, 0]], dtype=np.int8), (64, 1))
-        emb = {"x": ["a", "b"]}
+        emb = {"x": [0, 1]}
         draws = {
-            majority_vote(states, emb, ["a", "b"], seed=s)[0].tobytes()
+            majority_vote(states, emb, seed=s)[0].tobytes()
             for s in range(8)
         }
         assert len(draws) > 1
@@ -161,9 +155,8 @@ class TestSeededTieBreaks:
     def test_resolve_chain_breaks_seed_deterministic(self):
         rng = np.random.default_rng(1)
         states = rng.integers(0, 2, size=(16, 4), dtype=np.int8)
-        emb = {"x": ["a", "b"], "y": ["c", "d"]}
-        qubits = ["a", "b", "c", "d"]
-        a = resolve_chain_breaks(states, emb, qubits, method="majority", seed=9)
-        b = resolve_chain_breaks(states, emb, qubits, method="majority", seed=9)
+        emb = {"x": [0, 1], "y": [2, 3]}
+        a = resolve_chain_breaks(states, emb, method="majority", seed=9)
+        b = resolve_chain_breaks(states, emb, method="majority", seed=9)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[2], b[2])

@@ -7,14 +7,22 @@ from repro.hardware.chimera import chimera_graph
 from repro.hardware.embedding import (
     EmbeddingComposite,
     EmbeddingError,
-    embed_bqm,
+    embed_ising,
     find_embedding,
     verify_embedding,
 )
 from repro.hardware.qpu import SimulatedQPU
-from repro.qubo.bqm import BinaryQuadraticModel
 from repro.qubo.model import QuboModel
-from repro.qubo.vartypes import SPIN
+
+
+def _energy(ising, sample):
+    """Energy of a ``{variable: spin}`` sample under Ising ``(h, J, offset)``."""
+    h, j, offset = ising
+    return (
+        offset
+        + sum(bias * sample[v] for v, bias in h.items())
+        + sum(c * sample[u] * sample[v] for (u, v), c in j.items())
+    )
 
 
 class TestFindEmbedding:
@@ -120,47 +128,46 @@ class TestVerifyEmbedding:
             verify_embedding({"x": [999]}, source, chimera_graph(1))
 
 
-class TestEmbedBqm:
+class TestEmbedIsing:
     def test_unbroken_chain_energy_matches_logical(self):
         target = chimera_graph(2)
-        bqm = BinaryQuadraticModel.from_ising(
-            {"a": 0.5, "b": -1.0}, {("a", "b"): 0.75}
-        )
-        emb = find_embedding(bqm.interaction_graph(), target, seed=0)
-        physical = embed_bqm(bqm, emb, target, chain_strength=2.0)
+        logical = ({0: 0.5, 1: -1.0}, {(0, 1): 0.75}, 0.0)
+        emb = find_embedding(nx.Graph([(0, 1)]), target, seed=0)
+        physical = embed_ising(*logical, emb, target, chain_strength=2.0)
         # Build a physical state where every chain agrees.
         for sa in (-1, 1):
             for sb in (-1, 1):
                 sample = {}
-                for q in emb["a"]:
+                for q in emb[0]:
                     sample[q] = sa
-                for q in emb["b"]:
+                for q in emb[1]:
                     sample[q] = sb
-                assert physical.energy(sample) == pytest.approx(
-                    bqm.energy({"a": sa, "b": sb})
+                assert _energy(physical, sample) == pytest.approx(
+                    _energy(logical, {0: sa, 1: sb})
                 )
 
     def test_chain_break_costs_energy(self):
         target = chimera_graph(2)
         source = nx.complete_graph(3)
-        bqm = BinaryQuadraticModel.from_ising(
-            {0: 0.0, 1: 0.0, 2: 0.0}, {(0, 1): 0.1, (1, 2): 0.1, (0, 2): 0.1}
+        logical = (
+            {0: 0.0, 1: 0.0, 2: 0.0},
+            {(0, 1): 0.1, (1, 2): 0.1, (0, 2): 0.1},
+            0.0,
         )
         emb = find_embedding(source, target, seed=1)
         long_chains = {v: c for v, c in emb.items() if len(c) > 1}
         if not long_chains:
             pytest.skip("embedding found with unit chains")
-        physical = embed_bqm(bqm, emb, target, chain_strength=5.0)
+        physical = embed_ising(*logical, emb, target, chain_strength=5.0)
         aligned = {q: 1 for chain in emb.values() for q in chain}
         broken = dict(aligned)
         v, chain = next(iter(long_chains.items()))
         broken[chain[0]] = -1
-        assert physical.energy(broken) > physical.energy(aligned)
+        assert _energy(physical, broken) > _energy(physical, aligned)
 
     def test_bad_chain_strength(self):
-        bqm = BinaryQuadraticModel.from_ising({"a": 1.0}, {})
         with pytest.raises(ValueError):
-            embed_bqm(bqm, {"a": [0]}, chimera_graph(1), chain_strength=0.0)
+            embed_ising({0: 1.0}, {}, 0.0, {0: [0]}, chimera_graph(1), chain_strength=0.0)
 
 
 class TestEmbeddingComposite:

@@ -54,17 +54,16 @@ class TestEmbeddingProperties:
         self, num_logical, chain_len, seed
     ):
         rng = np.random.default_rng(seed)
-        # Build a synthetic embedding over distinct labelled qubits.
-        embedding = {}
+        # Build a synthetic chain map over distinct physical columns.
+        chains = {}
         qubit = 0
         for v in range(num_logical):
-            embedding[v] = [f"q{qubit + k}" for k in range(chain_len)]
+            chains[v] = list(range(qubit, qubit + chain_len))
             qubit += chain_len
-        variables = [q for chain in embedding.values() for q in chain]
         logical_truth = rng.integers(0, 2, size=num_logical)
         physical = np.concatenate(
             [np.full(chain_len, bit, dtype=np.int8) for bit in logical_truth]
         )[None, :]
-        decoded, order = majority_vote(physical, embedding, variables)
+        decoded, order = majority_vote(physical, chains)
         recovered = [decoded[0][order.index(v)] for v in range(num_logical)]
         np.testing.assert_array_equal(recovered, logical_truth)

@@ -3,11 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.qubo.bqm import BinaryQuadraticModel
 from repro.qubo.model import QuboModel
 from repro.qubo.serialization import (
-    bqm_from_dict,
-    bqm_to_dict,
     load_model,
     qubo_from_dict,
     qubo_to_dict,
@@ -17,15 +14,6 @@ from repro.qubo.serialization import (
 
 def _model():
     return QuboModel(4, {(0, 0): -1.0, (1, 3): 2.5, (2, 2): 0.75}, offset=1.25)
-
-
-def _bqm():
-    return BinaryQuadraticModel(
-        {"a": 1.0, ("pair", 3): -2.0},
-        {("a", ("pair", 3)): 0.5},
-        offset=-0.25,
-        vartype="SPIN",
-    )
 
 
 class TestQuboRoundTrip:
@@ -61,35 +49,11 @@ class TestQuboRoundTrip:
             qubo_from_dict(payload)
 
 
-class TestBqmRoundTrip:
-    def test_round_trip_with_tuple_labels(self):
-        bqm = _bqm()
-        restored = bqm_from_dict(bqm_to_dict(bqm))
-        assert restored.vartype.name == "SPIN"
-        assert restored.variables == bqm.variables
-        assert restored.get_linear(("pair", 3)) == -2.0
-        assert restored.get_quadratic("a", ("pair", 3)) == 0.5
-        assert restored.offset == -0.25
-
-    def test_energy_preserved(self):
-        bqm = _bqm()
-        restored = bqm_from_dict(bqm_to_dict(bqm))
-        sample = {"a": 1, ("pair", 3): -1}
-        assert restored.energy(sample) == pytest.approx(bqm.energy(sample))
-
-
 class TestFileRoundTrip:
     def test_qubo_file(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(_model(), path)
         assert load_model(path) == _model()
-
-    def test_bqm_file(self, tmp_path):
-        path = tmp_path / "bqm.json"
-        save_model(_bqm(), path)
-        restored = load_model(path)
-        assert isinstance(restored, BinaryQuadraticModel)
-        assert restored.num_variables == 2
 
     def test_unknown_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
