@@ -283,7 +283,9 @@ def embed_ising(
     split evenly over all available physical couplers between the two
     chains; intra-chain couplers get the ferromagnetic ``-chain_strength``.
     Qubits are listed chain by chain in *embedding* order. Each coupler is
-    listed under its first-listed qubit, in the order it was added.
+    listed under its first-listed qubit, in the order it was added. The
+    device draws its control noise in this order, so the order fixes
+    which draw each field and coupler gets.
     """
     if chain_strength <= 0:
         raise ValueError(f"chain_strength must be positive, got {chain_strength}")
