@@ -15,13 +15,18 @@ NumPy idioms from the HPC guides:
   strategy (no two simultaneously-updated variables interact). Solo and
   tiled solves share this one kernel; a solo model is a single block.
   It holds its columns in colour order, so each class is a contiguous
-  slice, builds each class's field-update operator once per anneal, and
-  on models without couplings replaces the per-step energy arithmetic
-  with a precomputed ``(sweep, column)`` acceptance table. A class of a
-  fused tile (one segment per block) is held segment-major, so a single
-  flat draw order serves all its blocks: one count, scatter and compare
-  per class step however many blocks it spans, and only the per-block
-  ``random`` calls left in Python.
+  slice, and builds each class's field-update operator once per anneal.
+  A class of a fused tile (one segment per block) is held
+  segment-major, so a single flat draw order serves all its blocks: one
+  count, scatter and compare per class step however many blocks it
+  spans, and only the per-block ``random`` calls left in Python.
+* A model or tile block **without couplings** runs no sweeps in the
+  colored mode. Each of its bits is then an independent two-state
+  Metropolis chain, and its end-of-schedule state is drawn in closed
+  form (:func:`_off_preference_probability`): one ``random((R, n))``
+  call after the initial states, from the same distribution the sweep
+  loop samples. A tile splits such blocks off onto their own streams
+  and fuses only the coupled ones.
 * The paper's per-variable random scan (``sweep_mode="random"``) stays
   available as the reference setting: with ``num_sweeps=256`` it is the
   configuration the paper's experiments ran. It does not fuse: a tiled
@@ -56,9 +61,7 @@ __all__ = ["DEFAULT_NUM_SWEEPS", "SimulatedAnnealingSampler"]
 #: §sweep-budget).
 DEFAULT_NUM_SWEEPS = 64
 
-#: Exponent clamp: below it the acceptance probability is negligible, and
-#: exp(-700) is still positive, which the colored kernel's acceptance
-#: table relies on.
+#: Exponent clamp: below it the acceptance probability is negligible.
 _EXP_CLIP = 700.0
 
 
@@ -129,7 +132,9 @@ class SimulatedAnnealingSampler(Sampler):
 
         states = resolve_initial_states(initial_states, num_reads, n, rng)
 
-        if sweep_mode == "colored":
+        if sweep_mode == "colored" and not coupling.nnz:
+            _sample_uncoupled(states, diag, betas, rng)
+        elif sweep_mode == "colored":
             # One block: every class is a single segment on the one stream.
             merged = [(cls, ((0, 0, cls.size),)) for cls in model.color_classes()]
             self._anneal_classes(states, diag, coupling, [betas], merged, [rng])
@@ -171,7 +176,9 @@ class SimulatedAnnealingSampler(Sampler):
         """Anneal all blocks of a :class:`~repro.qubo.tile.TiledProblem` fused.
 
         One ``(R, Σn)`` state matrix, one fused coupling operator, one
-        sweep loop. In the default ``"colored"`` mode the per-block color
+        sweep loop. In the default ``"colored"`` mode a block without
+        couplings is sampled in closed form on its own stream, as a solo
+        solve of it is, and only the coupled blocks fuse. Their color
         classes are *merged by rank* — class *c* of every block flips in
         one vectorized step (blocks never interact, so the union of
         independent sets is independent) — keeping the per-sweep Python
@@ -230,7 +237,7 @@ class SimulatedAnnealingSampler(Sampler):
 
         block_states = []
         betas: list = [None] * tiled.num_blocks
-        nonempty = []
+        coupled = []
         for k, model in enumerate(tiled.models):
             n_k = model.num_variables
             if n_k == 0:
@@ -240,15 +247,17 @@ class SimulatedAnnealingSampler(Sampler):
             betas[k] = self._resolve_schedule(
                 beta_schedule, beta_range, num_sweeps, diag_k, coup_k
             )
-            block_states.append(
-                resolve_initial_states(inits[k], num_reads, n_k, rngs[k])
-            )
-            nonempty.append(k)
+            x_k = resolve_initial_states(inits[k], num_reads, n_k, rngs[k])
+            if coup_k.nnz:
+                coupled.append(k)
+            else:
+                _sample_uncoupled(x_k, diag_k, betas[k], rngs[k])
+            block_states.append(x_k)
         states = np.hstack(block_states)
 
-        if nonempty:
-            classes = {k: tiled.models[k].color_classes() for k in nonempty}
-            merged = self._merge_classes(tiled, classes, nonempty)
+        if coupled:
+            classes = {k: tiled.models[k].color_classes() for k in coupled}
+            merged = self._merge_classes(tiled, classes, coupled)
             diag, coupling = tiled.fused_sampler_form()
             self._anneal_classes(states, diag, coupling, betas, merged, rngs)
 
@@ -274,7 +283,7 @@ class SimulatedAnnealingSampler(Sampler):
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _merge_classes(tiled: Any, classes: dict, nonempty: Sequence[int]) -> list:
+    def _merge_classes(tiled: Any, classes: dict, blocks: Sequence[int]) -> list:
         """Merge per-block color classes by rank into fused column sets.
 
         Returns ``[(columns, segments), ...]`` — one entry per merged
@@ -285,13 +294,13 @@ class SimulatedAnnealingSampler(Sampler):
         nothing from their stream for it), exactly as a solo colored
         anneal of that block would.
         """
-        num_classes = max(len(classes[k]) for k in nonempty)
+        num_classes = max(len(classes[k]) for k in blocks)
         merged = []
         for c in range(num_classes):
             cols_parts = []
             segments = []
             pos = 0
-            for k in nonempty:
+            for k in blocks:
                 if c < len(classes[k]):
                     cols = classes[k][c] + int(tiled.starts[k])
                     cols_parts.append(cols)
@@ -309,7 +318,8 @@ class SimulatedAnnealingSampler(Sampler):
         merged: Sequence[Tuple[np.ndarray, Sequence[Tuple[int, int, int]]]],
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        """The colored kernel: independent-set batched updates. Mutates *states*.
+        """The colored kernel on coupled models: independent-set batched
+        updates. Mutates *states*.
 
         Within one color class no two variables interact, so flipping them
         simultaneously is exactly equivalent to flipping them one at a
@@ -338,34 +348,26 @@ class SimulatedAnnealingSampler(Sampler):
           row-major inside each block), so one ``flatnonzero``, one
           ``searchsorted`` over the segment boundaries and one
           integer-index store place every block's draws; the only
-          per-block work is ``rngs[k].random(out=...)``. The flip mask is
-          one compare against a ``(segments, 1, width)`` table slice.
+          per-block work is ``rngs[k].random(out=...)``.
 
-        * **Coupled models.** The field update is one rank-k product per
-          class through an operator built once per anneal: the class's
-          row block of ``W[perm][:, perm]``, held as a pre-transposed CSR
-          applied as ``(op @ delta.T).T`` (the product SciPy's
-          ``delta @ block`` computes, minus the per-call transpose),
-          ``O(R · nnz(class))``. Fields stay in the ``(R, n)`` layout: a
-          fused class gathers its fields into the segment-major layout
-          and scatters its ``delta`` back, so the products are the same
-          ones a solo anneal computes. In a fused matrix the
-          block-diagonal structure makes cross-block contributions
-          structurally absent, so per-block results match a solo anneal
-          bit-for-bit on integer-coefficient models. A fused class evaluates
-          ``exp(clip(-β·ΔE, -700, 0))`` on every cell, each segment at its
-          own ``β``; on the hot cells that is the value a solo anneal
-          computes, and on the other real cells it is 1, which their zero
-          draws stay below (``ΔE <= 0`` always accepts).
-        * **Uncoupled models** (no nonzero coupling). ``ΔE = ±d_j``: a
-          read is *hot* (needs a draw) exactly when ``x_j`` sits on the
-          lower-energy side of ``d_j``, and its acceptance probability
-          depends only on the sweep and the column. One table per class,
-          ``P[t, j] = exp(clip(-β_t |d_j|, -700, 0))`` on each segment's
-          own schedule, replaces the per-step energy arithmetic: the
-          draws for the hot reads are scattered into a zeroed buffer and
-          ``buffer < P[t]`` is the flip mask (every ``P > 0``, so a read
-          that is not hot always flips, as ``ΔE <= 0`` requires).
+        The field update is one rank-k product per class through an
+        operator built once per anneal: the class's row block of
+        ``W[perm][:, perm]``, held as a pre-transposed CSR applied as
+        ``(op @ delta.T).T`` (the product SciPy's ``delta @ block``
+        computes, minus the per-call transpose), ``O(R · nnz(class))``.
+        Fields stay in the ``(R, n)`` layout: a fused class gathers its
+        fields into the segment-major layout and scatters its ``delta``
+        back, so the products are the same ones a solo anneal computes. In
+        a fused matrix the block-diagonal structure makes cross-block
+        contributions structurally absent, so per-block results match a
+        solo anneal bit-for-bit on integer-coefficient models. A fused
+        class evaluates ``exp(clip(-β·ΔE, -700, 0))`` on every cell, each
+        segment at its own ``β``; on the hot cells that is the value a
+        solo anneal computes, and on the other real cells it is 1, which
+        their zero draws stay below (``ΔE <= 0`` always accepts).
+
+        Models without couplings never come here: they are sampled in
+        closed form by :func:`_sample_uncoupled`.
 
         Every step draws the same uniforms in the same order and compares
         them against the same float64 values as a per-segment loop over
@@ -385,34 +387,6 @@ class SimulatedAnnealingSampler(Sampler):
             else (a, b, None, _SegmentMajor(segments, a, x, betas))
             for (_, segments), (a, b) in zip(merged, spans)
         ]
-
-        if not coupling.nnz:
-            # The value of x_j at which a flip costs energy; 2 (never
-            # matched) where d_j == 0, since those flips always accept.
-            pref = np.where(d > 0, 0, np.where(d < 0, 1, 2)).astype(np.int8)
-            tables = [
-                np.exp(np.clip(np.outer(-betas[k], np.abs(d[a:b])), -_EXP_CLIP, 0.0))
-                if fused is None
-                else fused.acceptance_table(d, pref)
-                for a, b, k, fused in plans
-            ]
-            for t in range(num_sweeps):
-                for (a, b, k, fused), table in zip(plans, tables):
-                    if fused is not None:
-                        fused.flip_uncoupled(table[t], rngs)
-                        continue
-                    xc = x[:, a:b]
-                    hot = xc == pref[a:b]
-                    draws = np.zeros(hot.shape)
-                    count = np.count_nonzero(hot)
-                    if count:
-                        draws[hot] = rngs[k].random(count)
-                    xc ^= draws < table[t]
-            for _, _, _, fused in plans:
-                if fused is not None:
-                    fused.write_back(x)
-            states[:, perm] = x
-            return
 
         import scipy.sparse as sp
 
@@ -532,6 +506,46 @@ class SimulatedAnnealingSampler(Sampler):
         return betas
 
 
+def _off_preference_probability(diag: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """``(2, n)``: the chance that each bit of an uncoupled model ends the
+    schedule off its lower-energy value, for a bit that starts on it
+    (row 0) and one that starts off it (row 1).
+
+    Each sweep a bit off its preferred value always flips back (``ΔE < 0``)
+    and a bit on it flips away with ``a_t = exp(clip(-β_t |d_j|, -700,
+    0))``, so ``q_t = (1 - q_{t-1}) · a_t`` from ``q_{-1} ∈ {0, 1}``.
+    Unrolled over ``T`` sweeps with ``c = cumprod(a[::-1])``:
+    ``q = Σ_k (-1)^k c_k + (-1)^T c_{T-1} q_{-1}``. A bit with ``d_j = 0``
+    has ``a_t = 1``: it flips on every sweep, and the sums are exact.
+    """
+    c = np.outer(-betas[::-1], np.abs(diag))
+    np.exp(np.clip(c, -_EXP_CLIP, 0.0, out=c), out=c)
+    np.cumprod(c, axis=0, out=c)
+    on = c[0::2].sum(axis=0) - c[1::2].sum(axis=0)
+    last = c[-1] if betas.shape[0] % 2 == 0 else -c[-1]
+    return np.stack([on, on + last])
+
+
+def _sample_uncoupled(
+    states: np.ndarray, diag: np.ndarray, betas: np.ndarray, rng: np.random.Generator
+) -> None:
+    """The colored kernel on a model without couplings. Mutates *states*.
+
+    Single-flip Metropolis on a diagonal-only model is one independent
+    two-state chain per bit, so each bit's end-of-schedule state is drawn
+    directly from the distribution the sweep loop ends in, with one
+    ``rng.random((R, n))`` call in place of every sweep's draws. The
+    value is the same in distribution as the loop's, not bit for bit.
+    """
+    # The lower-energy value of each bit (0 where d_j == 0, which flips
+    # on every sweep either way).
+    pref = (diag < 0).astype(np.int8)
+    q = _off_preference_probability(diag, betas)
+    off = states != pref
+    p = np.where(off, q[1], q[0])
+    np.bitwise_xor(pref, np.less(rng.random(states.shape), p, out=off), out=states)
+
+
 class _SegmentMajor:
     """One fused colour class of :meth:`SimulatedAnnealingSampler._anneal_classes`,
     held segment-major for the whole anneal.
@@ -591,19 +605,6 @@ class _SegmentMajor:
         draws.fill(0.0)
         draws.ravel()[idx] = pool
         return draws
-
-    def acceptance_table(self, diag: np.ndarray, pref: np.ndarray) -> np.ndarray:
-        """Uncoupled models: the class's ``(sweeps, segments, 1, width)``
-        table ``exp(clip(-β_t |d_j|, -700, 0))``. Also keeps ``pref``
-        per cell, with 2 (never matched) on the padding."""
-        self.pref = np.where(self.valid, pref[self.cols], 2)[:, None, :]
-        table = self.neg_betas[:, :, :, None] * np.abs(diag[self.cols])[:, None, :]
-        return np.exp(np.clip(table, -_EXP_CLIP, 0.0, out=table), out=table)
-
-    def flip_uncoupled(self, table: np.ndarray, rngs: Sequence[np.random.Generator]) -> None:
-        """One Metropolis step of an uncoupled class against ``table[t]``."""
-        np.equal(self.x, self.pref, out=self.hot)
-        self.x ^= np.less(self.draws(rngs), table, out=self.flip)
 
     def bind_fields(self, fields: np.ndarray, diag: np.ndarray) -> None:
         """Index maps between the ``(R, n)`` fields and this layout.
