@@ -3,11 +3,10 @@
 Each digest was recorded with the gather-based kernel (per-step
 ``states[:, cols]`` gathers and per-step coupling row blocks), before the
 kernel moved to a colour-contiguous layout with per-anneal field
-operators and an acceptance table for uncoupled models. Together they
-pin that the rewrite consumes the RNG in the same order and makes the
-same accept decisions on:
+operators. Together they pin that the rewrite consumes the RNG in the
+same order and makes the same accept decisions on:
 
-* an uncoupled model (the acceptance-table branch);
+* an uncoupled model;
 * a coupled weighted-opt QUBO with non-integer coefficients;
 * a model whose colour classes are not in index order (a non-trivial
   column permutation);
@@ -22,6 +21,15 @@ same accept decisions on:
   were recorded while such models still ran the dense ``(n, n)``
   coupling form (the old size heuristic's choice below 64 variables),
   before every kernel moved to CSR.
+
+Models and tile blocks without couplings no longer run the sweep loop:
+they are sampled in closed form from the loop's end-of-schedule
+distribution (``test_uncoupled_closed_form.py`` checks the two agree).
+The uncoupled digests recorded with the loop still pass where every read
+ends at the same state either way. ``test_wide_uncoupled_tile`` (24
+sweeps, so some reads end excited) was re-recorded for the closed form;
+``test_uncoupled_closed_form.py`` keeps its loop-era value as the pin of
+its reference loop.
 """
 
 import hashlib
@@ -278,7 +286,7 @@ class TestTiledDigests:
             seed=13,
         )
         assert _digest(*results) == (
-            "475390e6674da3f22cb76a4c4a7a3070874a25dcefacdfd047167d0f426bf661"
+            "4633196317ea14ba27763f0d90263a4639d3426bea81dca3139153a4a163faf9"
         )
 
     def test_wide_coupled_tile(self):

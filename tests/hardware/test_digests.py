@@ -79,6 +79,9 @@ class TestHardwareDigests:
         )
 
     def test_noisy_string_solve(self):
+        # The "hi" model has no couplings, so the device's colored anneal
+        # samples it in closed form; re-recorded when that replaced the
+        # sweep loop on uncoupled models.
         qpu = SimulatedQPU(
             topology=chimera_graph(6), noise=GaussianNoiseModel(0.05, 0.025)
         )
@@ -90,7 +93,7 @@ class TestHardwareDigests:
         )
         result = solver.solve(StringEquality("hi"))
         assert _digest(result.sampleset) == (
-            "68cf99e366a911523978bcacf1c626ef4507af0965b22f9acbf61ee08ebd175a"
+            "96f98efdff7808d6645caf28a589a6f95964aa6a577dcf4d4a4964343a96b62e"
         )
 
     def test_native_noise_free(self):
