@@ -12,7 +12,7 @@ unconstrained-filler workloads.
 
 import pytest
 
-from benchmarks.common import bench_few, bench_once, emit_table, measure
+from benchmarks.common import bench_few, bench_once, emit_table, measure, name_seed
 from repro.smt import ClassicalStringSolver, QuantumSMTSolver, parse_script
 
 WORKLOADS = {
@@ -56,7 +56,7 @@ def test_quantum_vs_classical_table(benchmark):
     def _run():
         rows = []
         for name, script in WORKLOADS.items():
-            q, q_time = _quantum(script, seed=abs(hash(name)) % 1000)
+            q, q_time = _quantum(script, seed=name_seed(name))
             c, c_time = _classical(script)
             rows.append([
                 name,

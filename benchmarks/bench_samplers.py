@@ -9,7 +9,7 @@ minima) from the annealers.
 
 import pytest
 
-from benchmarks.common import bench_few, bench_once, emit_table
+from benchmarks.common import bench_few, bench_once, emit_table, name_seed
 from repro.anneal import (
     ExactSolver,
     PathIntegralAnnealer,
@@ -45,7 +45,7 @@ def test_sampler_ablation_table(benchmark):
         rows = []
         for wname, factory in workloads:
             for sname, sampler, params, reads in SAMPLERS:
-                result = _solve_with(sampler, params, reads, factory(), seed=hash(sname) % 1000)
+                result = _solve_with(sampler, params, reads, factory(), seed=name_seed(sname))
                 rows.append([
                     wname,
                     sname,

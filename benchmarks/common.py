@@ -13,6 +13,7 @@ pytest captures stdout, so the report printer writes to the real stdout
 from __future__ import annotations
 
 import sys
+import zlib
 from typing import Iterable, List, Sequence
 
 from repro.anneal.simulated import SimulatedAnnealingSampler
@@ -27,6 +28,7 @@ __all__ = [
     "emit",
     "emit_table",
     "make_solver",
+    "name_seed",
     "bench_once",
     "bench_few",
     "registered_workload",
@@ -94,6 +96,12 @@ def make_solver(seed: int = 2025, reads: int = DEFAULT_READS,
         seed=seed,
         sampler_params={"num_sweeps": sweeps},
     )
+
+
+def name_seed(name: str) -> int:
+    """A per-row seed derived from a row name. A stable digest, not the
+    per-process salted ``hash``, so a table prints the same on every run."""
+    return zlib.crc32(name.encode()) % 1000
 
 
 def registered_workload(name: str):
