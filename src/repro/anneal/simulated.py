@@ -21,12 +21,9 @@ NumPy idioms from the HPC guides:
   count, scatter and compare per class step however many blocks it
   spans, and only the per-block ``random`` calls left in Python.
 * A model or tile block **without couplings** runs no sweeps in the
-  colored mode. Each of its bits is then an independent two-state
-  Metropolis chain, and its end-of-schedule state is drawn in closed
-  form (:func:`_off_preference_probability`): one ``random((R, n))``
-  call after the initial states, from the same distribution the sweep
-  loop samples. A tile splits such blocks off onto their own streams
-  and fuses only the coupled ones.
+  colored mode: each bit is an independent two-state chain, whose
+  end-of-schedule state is drawn in closed form from the distribution
+  the sweep loop ends in (:func:`_sample_uncoupled`).
 * The paper's per-variable random scan (``sweep_mode="random"``) stays
   available as the reference setting: with ``num_sweeps=256`` it is the
   configuration the paper's experiments ran. It does not fuse: a tiled
@@ -82,7 +79,8 @@ class SimulatedAnnealingSampler(Sampler):
         ``"geometric"`` (default), ``"linear"``, or an explicit array of
         per-sweep betas (overrides *beta_range*/*num_sweeps*).
     sweep_mode:
-        ``"colored"`` (default; greedy-coloring batched updates),
+        ``"colored"`` (default; greedy-coloring batched updates, and a
+        closed-form draw of the end state on models without couplings),
         ``"random"`` (fresh variable permutation per sweep — the paper's
         scan; ``num_sweeps=256`` is its reference setting) or
         ``"sequential"``.
@@ -318,8 +316,7 @@ class SimulatedAnnealingSampler(Sampler):
         merged: Sequence[Tuple[np.ndarray, Sequence[Tuple[int, int, int]]]],
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        """The colored kernel on coupled models: independent-set batched
-        updates. Mutates *states*.
+        """The colored kernel on coupled models. Mutates *states*.
 
         Within one color class no two variables interact, so flipping them
         simultaneously is exactly equivalent to flipping them one at a
@@ -365,9 +362,6 @@ class SimulatedAnnealingSampler(Sampler):
         segment at its own ``β``; on the hot cells that is the value a
         solo anneal computes, and on the other real cells it is 1, which
         their zero draws stay below (``ΔE <= 0`` always accepts).
-
-        Models without couplings never come here: they are sampled in
-        closed form by :func:`_sample_uncoupled`.
 
         Every step draws the same uniforms in the same order and compares
         them against the same float64 values as a per-segment loop over
@@ -507,16 +501,13 @@ class SimulatedAnnealingSampler(Sampler):
 
 
 def _off_preference_probability(diag: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """``(2, n)``: the chance that each bit of an uncoupled model ends the
-    schedule off its lower-energy value, for a bit that starts on it
-    (row 0) and one that starts off it (row 1).
+    """``(2, n)``: the chance that each uncoupled bit ends off its
+    lower-energy value, starting on it (row 0) or off it (row 1).
 
-    Each sweep a bit off its preferred value always flips back (``ΔE < 0``)
-    and a bit on it flips away with ``a_t = exp(clip(-β_t |d_j|, -700,
-    0))``, so ``q_t = (1 - q_{t-1}) · a_t`` from ``q_{-1} ∈ {0, 1}``.
-    Unrolled over ``T`` sweeps with ``c = cumprod(a[::-1])``:
-    ``q = Σ_k (-1)^k c_k + (-1)^T c_{T-1} q_{-1}``. A bit with ``d_j = 0``
-    has ``a_t = 1``: it flips on every sweep, and the sums are exact.
+    Off that value a bit always flips back; on it, it flips away with
+    ``a_t = exp(clip(-β_t |d_j|, -700, 0))``. So ``q_t = (1 - q_{t-1}) a_t``,
+    i.e. ``q = Σ_k (-1)^k c_k + (-1)^T c_{T-1} q_{-1}`` with
+    ``c = cumprod(a[::-1])``; exact where ``d_j = 0`` (``a_t = 1``).
     """
     c = np.outer(-betas[::-1], np.abs(diag))
     np.exp(np.clip(c, -_EXP_CLIP, 0.0, out=c), out=c)
@@ -531,15 +522,10 @@ def _sample_uncoupled(
 ) -> None:
     """The colored kernel on a model without couplings. Mutates *states*.
 
-    Single-flip Metropolis on a diagonal-only model is one independent
-    two-state chain per bit, so each bit's end-of-schedule state is drawn
-    directly from the distribution the sweep loop ends in, with one
-    ``rng.random((R, n))`` call in place of every sweep's draws. The
-    value is the same in distribution as the loop's, not bit for bit.
+    Draws each bit's end-of-schedule state with one ``rng.random((R, n))``
+    call: the sweep loop's distribution, not its bits.
     """
-    # The lower-energy value of each bit (0 where d_j == 0, which flips
-    # on every sweep either way).
-    pref = (diag < 0).astype(np.int8)
+    pref = (diag < 0).astype(np.int8)  # any value where d_j == 0
     q = _off_preference_probability(diag, betas)
     off = states != pref
     p = np.where(off, q[1], q[0])
